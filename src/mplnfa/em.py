@@ -348,16 +348,22 @@ def icl(bic_value, zhat):
 
 
 def _sigma_from(lam, psi):
+    """sigma^-1 and log|sigma| of sigma = lam lam' + diag(psi), from the factors.
+
+    sigma^-1 = psi^-1 - psi^-1 lam Q lam' psi^-1 and
+    log|sigma| = sum log psi + log|I + lam' psi^-1 lam|, with the K x K
+    Q = (I + lam' psi^-1 lam)^-1 of `stage2._factor_core`.
+    """
     d = lam.shape[1]
-    sig = np.einsum("gdk,gek->gde", lam, lam)
-    sig[:, np.arange(d), np.arange(d)] += psi
-    return stage1._sigma_factors(sig)
+    beta, core = stage2._factor_core(lam, psi)
+    sig_inv = -(lam / psi[..., None]) @ beta
+    sig_inv[:, np.arange(d), np.arange(d)] += 1.0 / psi
+    sig_inv = 0.5 * (sig_inv + sig_inv.transpose(0, 2, 1))
+    return sig_inv, np.log(psi).sum(-1) + np.linalg.slogdet(core)[1]
 
 
 def _q_from(lam, psi):
-    k = lam.shape[2]
-    a = np.eye(k)[None] + np.einsum("gdk,gdl->gkl", lam / psi[..., None], lam)
-    q = np.linalg.inv(a)
+    q = np.linalg.inv(stage2._factor_core(lam, psi)[1])
     return 0.5 * (q + q.transpose(0, 2, 1))
 
 
@@ -481,7 +487,8 @@ def _run_em(y, logc, x, labels, g, k, model_id, config):
         for _sweep in range(config.e_step_sweeps):
             (s, caches["trs"], caches["logdet_s"], caches["rate"], caches["expsum"],
              cl, nb) = stage1._update_s_guarded(
-                sig_inv, logc, m, s, caches["trs"], caches["logdet_s"], caches["expsum"]
+                sig_inv, logc, m, s, caches["trs"], caches["logdet_s"], caches["expsum"],
+                lam, psi, sig_logdet,
             )
             diag["exp_clamped"] += cl
             diag["s_guard_backtracks"] += nb
@@ -601,8 +608,10 @@ def _resolve_threads(threads):
 def grid_search(data, factors, config, threads=None):
     """Fit every (G, K, model) triple and select by BIC.
 
-    Failed or degenerate triples are recorded in the summaries and
-    excluded from selection.  The returned entries follow the triple
+    Failed or degenerate triples, including every triple of a G whose
+    k-means start fails, are recorded in the summaries and excluded
+    from selection; `NumericalError` is raised only when no triple is
+    left to select.  The returned entries follow the triple
     order sorted by (G, K, model position); the selected fit is the
     BIC argmin with ties broken by that order, independent of worker
     scheduling.
@@ -621,10 +630,14 @@ def grid_search(data, factors, config, threads=None):
     y = data.values.astype(np.float64)
     logc = np.log(factors.c)
     x = _transformed(y, logc)
-    labels_by_g = {
-        g: _kmeans(x, g, np.random.default_rng([config.seed, g]), config.n_starts)
-        for g in range(g_lo, g_hi + 1)
-    }
+    # A G whose k-means start fails is recorded against each of its triples.
+    labels_by_g, start_errors = {}, {}
+    for g in range(g_lo, g_hi + 1):
+        try:
+            labels_by_g[g] = _kmeans(x, g, np.random.default_rng([config.seed, g]),
+                                     config.n_starts)
+        except NumericalError as exc:
+            start_errors[g] = str(exc)
     triples = [
         (g, k, model)
         for g in range(g_lo, g_hi + 1)
@@ -636,18 +649,22 @@ def grid_search(data, factors, config, threads=None):
     best = {"key": None, "fit": None}
     lock = Lock()
 
+    def _failed(index, g, k, model, error):
+        entry = GridEntry(
+            g=g, k=k, model_id=model, bic=np.nan, icl=np.nan, loglik=np.nan,
+            free_params=0, converged=False, degenerate=False, n_iter=0,
+            error=error, elbo_trace=(),
+        )
+        with lock:
+            results[index] = entry
+
     def _one(index, g, k, model):
+        if g in start_errors:
+            return _failed(index, g, k, model, start_errors[g])
         try:
             fit = _run_em(y, logc, x, labels_by_g[g], g, k, model, config)
         except (NumericalError, np.linalg.LinAlgError) as exc:
-            entry = GridEntry(
-                g=g, k=k, model_id=model, bic=np.nan, icl=np.nan, loglik=np.nan,
-                free_params=0, converged=False, degenerate=False, n_iter=0,
-                error=str(exc), elbo_trace=(),
-            )
-            with lock:
-                results[index] = entry
-            return
+            return _failed(index, g, k, model, str(exc))
         entry = GridEntry(
             g=g, k=k, model_id=model, bic=fit.bic, icl=fit.icl,
             loglik=fit.loglik_approx, free_params=fit.free_params,

@@ -263,12 +263,17 @@ def update_pi_mu(zhat, m):
 # ---------------------------------------------------------------------------
 #
 # Shapes: y (n, d), logc (n,), m (n, G, d), s (n, G, d, d), mu (G, d),
-# sig_inv (G, d, d), sig_logdet (G,).  All kernels are pure functions;
-# the driver owns caching of repeated terms.
+# sig_inv (G, d, d), sig_logdet (G,), lam (G, d, K), psi (G, d).  All
+# kernels are pure functions; em._run_em owns caching of repeated terms
+# and builds sig_inv and sig_logdet from the factors (em._sigma_from).
 
 
 def _sigma_factors(sigmas):
-    """Inverses and log-determinants of a stack of SPD matrices."""
+    """Inverses and log-determinants of a stack of dense SPD matrices.
+
+    Dense reference for the batched bound kernels; the fitting loop
+    never calls it.
+    """
     try:
         ell = np.linalg.cholesky(sigmas)
     except np.linalg.LinAlgError as exc:
@@ -286,15 +291,6 @@ def _rates_batch(logc, m, s_diag):
     return np.exp(np.clip(arg, -EXP_CLAMP, EXP_CLAMP)), n_clamped
 
 
-def _spd_inv_logdet(a):
-    """Batched inverse and log-determinant via Cholesky."""
-    ell = np.linalg.cholesky(a)
-    ell_inv = np.linalg.inv(ell)
-    inv = np.einsum("...ji,...jk->...ik", ell_inv, ell_inv)
-    logdet = 2.0 * np.log(np.diagonal(ell, axis1=-2, axis2=-1)).sum(-1)
-    return inv, logdet
-
-
 def _quad_batch(m, mu, sig_inv):
     """(m - mu)' sigma^-1 (m - mu) for every pair, (n, G)."""
     v = m - mu[None]
@@ -306,13 +302,21 @@ def _trace_batch(sig_inv, s):
     return np.einsum("gde,ngde->ng", sig_inv, s)
 
 
-def _update_s_guarded(sig_inv, logc, m, s, trs, logdet_s, expsum):
+def _update_s_guarded(sig_inv, logc, m, s, trs, logdet_s, expsum, lam, psi, sig_logdet):
     """Batched covariance refresh with an ascent guard.
 
-    One application of the fixed-point map; entries whose bound terms
-    decrease are pulled back toward the previous covariance by step
-    halving (the map direction is always an ascent direction).  Takes
-    and returns the cached bound pieces that depend on S.
+    One application of the fixed-point map S = (sigma^-1 + diag r)^-1,
+    built from the factors sigma = lam lam' + diag(psi) by the Woodbury
+    identity and the matrix-determinant lemma, without a d x d inverse:
+
+        S = diag(psi h) + V M^-1 V',  h = 1 / (1 + psi r),  V = diag(h) lam,
+        M = I + lam' diag(r h) lam,
+        log|S| = log|sigma| - sum log(1 + psi r) - log|M|.
+
+    M is K x K with eigenvalues >= 1, and no term cancels.  Entries whose
+    bound terms decrease are pulled back toward the previous covariance
+    by step halving (the map direction is always an ascent direction).
+    Takes and returns the cached bound pieces that depend on S.
 
     Returns (s_new, trs, logdet_s, rate at (m, s_new), expsum, clamps,
     n_guarded).
@@ -320,14 +324,21 @@ def _update_s_guarded(sig_inv, logc, m, s, trs, logdet_s, expsum):
     n, g, d = m.shape
     idx = np.arange(d)
     rate_prev, clamps = _rates_batch(logc, m, s[:, :, idx, idx])
-    a = np.broadcast_to(sig_inv[None], (n, g, d, d)).copy()
-    a[:, :, idx, idx] += rate_prev
+    psi_rate = psi[None] * rate_prev
+    h = 1.0 / (1.0 + psi_rate)
+    v = h[..., None] * lam[None]  # (n, G, d, K)
+    lam_t = np.swapaxes(lam, -1, -2)[None]
+    mat_m = np.eye(lam.shape[2]) + lam_t @ ((rate_prev * h)[..., None] * lam[None])
     try:
-        s_new, neg_logdet_a = _spd_inv_logdet(a)
+        ell = np.linalg.cholesky(mat_m)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"covariance refresh failed: {exc}") from None
-    logdet_new = -neg_logdet_a
+    vl = v @ np.swapaxes(np.linalg.inv(ell), -1, -2)  # V L^-T, so V M^-1 V' = vl vl'
+    s_new = vl @ np.swapaxes(vl, -1, -2)
+    s_new[:, :, idx, idx] += psi[None] * h
     s_new = 0.5 * (s_new + np.swapaxes(s_new, -1, -2))
+    logdet_m = 2.0 * np.log(np.diagonal(ell, axis1=-2, axis2=-1)).sum(-1)
+    logdet_new = sig_logdet[None] - np.log1p(psi_rate).sum(-1) - logdet_m
 
     trs_new = _trace_batch(sig_inv, s_new)
     rate_new, cl2 = _rates_batch(logc, m, s_new[:, :, idx, idx])
@@ -352,9 +363,7 @@ def _update_s_guarded(sig_inv, logc, m, s, trs, logdet_s, expsum):
             cand = s_old_b + eta[:, None, None] * step
             ld_c = np.linalg.slogdet(cand)[1]
             tr_c = np.einsum("bde,bed->b", sig_inv[bg], cand)
-            rate_c = np.exp(
-                np.clip(logc[bi][:, None] + m[bi, bg] + 0.5 * cand[:, idx, idx], -EXP_CLAMP, EXP_CLAMP)
-            )
+            rate_c = _clamped_rate(logc[bi][:, None], m[bi, bg], cand[:, idx, idx])
             phi_c = -0.5 * tr_c + 0.5 * ld_c - rate_c.sum(-1)
             good = (~ok) & (phi_c >= phi_old[bi, bg] - slack[bi, bg])
             if np.any(good):
@@ -367,9 +376,7 @@ def _update_s_guarded(sig_inv, logc, m, s, trs, logdet_s, expsum):
         s_new[bi, bg] = sub
         trs_new[bi, bg] = np.einsum("bde,bed->b", sig_inv[bg], sub)
         logdet_new[bi, bg] = np.linalg.slogdet(sub)[1]
-        rate_b = np.exp(
-            np.clip(logc[bi][:, None] + m[bi, bg] + 0.5 * sub[:, idx, idx], -EXP_CLAMP, EXP_CLAMP)
-        )
+        rate_b = _clamped_rate(logc[bi][:, None], m[bi, bg], sub[:, idx, idx])
         rate_new[bi, bg] = rate_b
         expsum_new[bi, bg] = rate_b.sum(-1)
     return s_new, trs_new, logdet_new, rate_new, expsum_new, clamps, n_guarded
@@ -413,9 +420,7 @@ def _update_m_guarded(y, logc, sig_inv, mu, m, s, rate, quad):
         ok = np.zeros(len(bi), dtype=bool)
         for _ in range(MAX_HALVINGS):
             cand = m_old_b + eta[:, None] * step_b
-            rate_c = np.exp(
-                np.clip(logc[bi][:, None] + cand + 0.5 * s_diag[bi, bg], -EXP_CLAMP, EXP_CLAMP)
-            )
+            rate_c = _clamped_rate(logc[bi][:, None], cand, s_diag[bi, bg])
             v = cand - mu[bg]
             quad_c = np.einsum("bd,bde,be->b", v, sig_inv[bg], v)
             phi_c = np.einsum("bd,bd->b", cand, y[bi]) - rate_c.sum(-1) - 0.5 * quad_c
@@ -427,9 +432,7 @@ def _update_m_guarded(y, logc, sig_inv, mu, m, s, rate, quad):
                 break
             eta[~ok] *= 0.5
         m_new[bi, bg] = best
-        rate_b = np.exp(
-            np.clip(logc[bi][:, None] + best + 0.5 * s_diag[bi, bg], -EXP_CLAMP, EXP_CLAMP)
-        )
+        rate_b = _clamped_rate(logc[bi][:, None], best, s_diag[bi, bg])
         rate_new[bi, bg] = rate_b
         v = best - mu[bg]
         quad_new[bi, bg] = np.einsum("bd,bde,be->b", v, sig_inv[bg], v)

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .core import EmptyComponentError, InputError, ModelId, NumericalError
-from .stage1 import EMPTY_TOL, EXP_CLAMP, _as_vector, _check_counts, _check_exposure, _chol_spd
+from .stage1 import EMPTY_TOL, _as_vector, _check_counts, _check_exposure, _chol_spd, _clamped_rate
 
 __all__ = [
     "Stage2Stats",
@@ -169,7 +169,7 @@ def elbo_stage2(y, c, m, s, mu_g, lam_g, psi_g, p, q):
     q = np.asarray(q, dtype=np.float64)
 
     logc = np.log(c)
-    rate = np.exp(np.clip(logc + m + 0.5 * np.diag(s), -EXP_CLAMP, EXP_CLAMP))
+    rate = _clamped_rate(logc, m, np.diag(s))
     diff = m - mu_g
     psi_inv_diff = diff / psi_g
     lam_p = lam_g @ p
@@ -210,29 +210,37 @@ def make_stage2_stats(zhat, m, mu, lam, psi):
     w = np.einsum("ng,ngd,nge->gde", zhat, v, v) / n_g[:, None, None]
     w = 0.5 * (w + w.transpose(0, 2, 1))
     beta = _beta_from(lam, psi)
-    theta = _theta_from(beta, lam, w)
+    theta = _theta_from(beta, lam, w @ beta.transpose(0, 2, 1))
     return Stage2Stats(w=w, beta=beta, theta=theta, n_g=n_g)
 
 
-def _beta_from(lam, psi):
-    """beta_g = lam_g' (lam_g lam_g' + diag(psi_g))^-1, batched (G, K, d)."""
-    g, d, _ = lam.shape
-    sig = np.einsum("gdk,gek->gde", lam, lam)
-    sig[:, np.arange(d), np.arange(d)] += psi
+def _factor_core(lam, psi):
+    """The K x K core of sigma_g = lam_g lam_g' + diag(psi_g), batched.
+
+    Returns beta = core^-1 lam' psi^-1 (G, K, d), which equals
+    lam' sigma^-1, and core = I + lam' psi^-1 lam (G, K, K), whose
+    eigenvalues are at least 1.  Every inverse and log-determinant of
+    sigma in the fitting loop is built from these, so no d x d matrix
+    is factorized.
+    """
+    lam_psi = lam.transpose(0, 2, 1) / psi[:, None, :]
+    core = np.eye(lam.shape[2])[None] + lam_psi @ lam
     try:
-        sol = np.linalg.solve(sig, lam)  # (G, d, K)
+        return np.linalg.solve(core, lam_psi), core
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"loading regression solve failed: {exc}") from None
-    return sol.transpose(0, 2, 1)
 
 
-def _theta_from(beta, lam, w):
-    """theta_g = I - beta_g lam_g + beta_g W_g beta_g', batched (G, K, K)."""
+def _beta_from(lam, psi):
+    """beta_g = lam_g' sigma_g^-1, batched (G, K, d)."""
+    return _factor_core(lam, psi)[0]
+
+
+def _theta_from(beta, lam, wb):
+    """theta_g = I - beta_g lam_g + beta_g W_g beta_g', batched (G, K, K),
+    from wb = W_g beta_g' (G, d, K)."""
     k = beta.shape[1]
-    bw = np.einsum("gkd,gde->gke", beta, w)
-    theta = np.eye(k)[None] - np.einsum("gkd,gdl->gkl", beta, lam) + np.einsum(
-        "gkd,gld->gkl", bw, beta
-    )
+    theta = np.eye(k)[None] - beta @ lam + beta @ wb
     return 0.5 * (theta + theta.transpose(0, 2, 1))
 
 
@@ -305,13 +313,13 @@ def run_inner_loop(model_id, stats, s_bar, lam, psi, max_inner=MAX_INNER, tol=IN
 
     for sweeps in range(1, max_inner + 1):
         beta = _beta_from(lam, psi)
-        theta = _theta_from(beta, lam, w)
-        wb = np.einsum("gde,gke->gdk", w, beta)  # W_g beta_g', (G, d, K)
+        wb = w @ beta.transpose(0, 2, 1)  # W_g beta_g', (G, d, K)
+        theta = _theta_from(beta, lam, wb)
 
         if model_id.lambda_constrained:
             weights = n_g[:, None] / psi  # (G, d)
-            lhs = np.einsum("gd,gkl->dkl", weights, theta)
-            rhs = np.einsum("gd,gdk->dk", weights, wb)
+            lhs = (weights.T @ theta.reshape(g, k * k)).reshape(d, k, k)
+            rhs = (weights[..., None] * wb).sum(0)
             try:
                 rows = np.linalg.solve(lhs, rhs[..., None])[..., 0]  # (d, K)
             except np.linalg.LinAlgError as exc:
@@ -327,9 +335,9 @@ def run_inner_loop(model_id, stats, s_bar, lam, psi, max_inner=MAX_INNER, tol=IN
         # over psi_g at fixed lam.  Per-component loadings satisfy
         # lam_g theta_g = W_g beta_g', which cancels the theta term; shared
         # loadings do not, so they keep the full form.
-        cross = np.einsum("gdk,gdk->gd", lam_new, wb)  # diag(lam beta_g W_g)
+        cross = (lam_new * wb).sum(-1)  # diag(lam beta_g W_g)
         if model_id.lambda_constrained:
-            quad = np.einsum("gdk,gkl,gdl->gd", lam_new, theta, lam_new)
+            quad = ((lam_new @ theta) * lam_new).sum(-1)
             bvec = w_diag - 2.0 * cross + quad + s_bar
         else:
             bvec = w_diag - cross + s_bar

@@ -88,6 +88,26 @@ def test_fit_report_contents(tmp_path):
     assert report["selected"]["g"] == 2
 
 
+def test_fit_records_a_failed_kmeans_start_and_selects_among_the_rest(tmp_path):
+    # 30 identical rows: every G=2 k-means seeding empties a cluster, G=1 fits
+    counts = tmp_path / "same.csv"
+    row = ",".join(str(v) for v in (12, 3, 40, 7, 0, 25, 9, 16))
+    counts.write_text(
+        "sample_id," + ",".join(f"v{j}" for j in range(8)) + "\n"
+        + "".join(f"s{i:02d},{row}\n" for i in range(30)),
+        encoding="utf-8",
+    )
+    out = tmp_path / "fit"
+    assert fit_small(counts, out) == 0
+    with open(out / "report.json", encoding="utf-8") as fh:
+        report = json.load(fh)
+    assert report["selected"]["g"] == 1
+    by_g = {e["g"]: e for e in report["grid"]}
+    assert by_g[1]["error"] == ""
+    assert "k-means produced an empty cluster" in by_g[2]["error"]
+    assert by_g[2]["bic"] is None
+
+
 # ---------------------------------------------------------------------------
 # determinism of artifacts
 # ---------------------------------------------------------------------------

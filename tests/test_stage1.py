@@ -13,6 +13,7 @@ from mplnfa.stage1 import (
     update_s,
 )
 import mplnfa.stage1 as stage1
+import mplnfa.stage2 as stage2
 import mplnfa.em as em
 
 from oracles import fd_grad, random_spd
@@ -270,12 +271,15 @@ def test_guarded_batch_updates_match_public_functions(rng):
     m = np.log1p(y)[:, None, :].repeat(g, axis=1)
     s = np.broadcast_to(0.1 * np.eye(d), (n, g, d, d)).copy()
     mu = rng.normal(1.0, 0.3, (g, d))
-    sig = np.stack([random_spd(rng, d) for _ in range(g)])
+    lam = rng.normal(0.0, 0.5, (g, d, 2))
+    psi = rng.uniform(0.2, 1.0, (g, d))
+    sig = lam @ lam.transpose(0, 2, 1) + psi[:, :, None] * np.eye(d)
     sig_inv, sig_logdet = stage1._sigma_factors(sig)
     caches = em._make_caches(y, logc, m, s, mu, sig_inv, sig_logdet)
 
     s_new, trs, logdet_s, rate, expsum, _, _ = stage1._update_s_guarded(
-        sig_inv, logc, m, s, caches["trs"], caches["logdet_s"], caches["expsum"]
+        sig_inv, logc, m, s, caches["trs"], caches["logdet_s"], caches["expsum"],
+        lam, psi, sig_logdet,
     )
     for i in range(n):
         for j in range(g):
@@ -289,3 +293,63 @@ def test_guarded_batch_updates_match_public_functions(rng):
         for j in range(g):
             ref = update_m(y[i], np.exp(logc[i]), sig[j], mu[j], m[i, j], s_new[i, j])
             np.testing.assert_allclose(m_new[i, j], ref, atol=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# factor-form kernels agree with the dense reference
+# ---------------------------------------------------------------------------
+
+
+def _factor_instance(rng, g, d, k):
+    lam = rng.normal(0.0, 1.0, (g, d, k))
+    psi = np.exp(rng.uniform(np.log(1e-4), np.log(2.0), (g, d)))
+    sig = lam @ lam.transpose(0, 2, 1) + psi[:, :, None] * np.eye(d)
+    return lam, psi, sig
+
+
+def _rel_err(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("k", [1, 3, 6])
+@pytest.mark.parametrize("seed", range(4))
+def test_factor_form_s_step_matches_dense_inverse(seed, k):
+    rng = np.random.default_rng(seed)
+    n, g, d = 4, 2, 6
+    lam, psi, sig = _factor_instance(rng, g, d, k)
+    sig_inv, sig_logdet = em._sigma_from(lam, psi)
+    logc = np.zeros(n)
+    # rates exp(m + S_jj / 2) spread over [e^-4, e^8]
+    m = rng.uniform(-4.0, 8.0 - 0.05, (n, g, d))
+    s = np.broadcast_to(0.1 * np.eye(d), (n, g, d, d)).copy()
+    # previous bound terms of -inf, so the ascent guard keeps every entry
+    worst = np.full((n, g), -np.inf)
+    s_new, _, logdet_s, _, _, _, n_guarded = stage1._update_s_guarded(
+        sig_inv, logc, m, s, np.zeros((n, g)), worst, np.zeros((n, g)), lam, psi, sig_logdet,
+    )
+    assert n_guarded == 0
+    rate = np.exp(m + 0.05)
+    for i in range(n):
+        for j in range(g):
+            a = np.linalg.inv(sig[j]) + np.diag(rate[i, j])
+            assert _rel_err(s_new[i, j], np.linalg.inv(a)) < 1e-10
+            sign, ref = np.linalg.slogdet(a)
+            assert sign > 0
+            assert logdet_s[i, j] == pytest.approx(-ref, rel=1e-10)
+
+
+@pytest.mark.parametrize("k", [1, 3, 6])
+@pytest.mark.parametrize("seed", range(4))
+def test_factor_form_regression_matches_dense_solve(seed, k):
+    rng = np.random.default_rng(seed)
+    g, d = 2, 6
+    lam, psi, sig = _factor_instance(rng, g, d, k)
+    beta = stage2._beta_from(lam, psi)
+    sig_inv, sig_logdet = em._sigma_from(lam, psi)
+    for j in range(g):
+        assert _rel_err(beta[j], np.linalg.solve(sig[j], lam[j]).T) < 1e-10
+        assert sig_logdet[j] == pytest.approx(np.linalg.slogdet(sig[j])[1], rel=1e-10)
+        # psi^-1 - psi^-1 lam Q lam' psi^-1 cancels where psi_j is small
+        # against (lam lam')_jj: about eps * |lam|^2 / min psi, so 1e-7 at
+        # psi >= 1e-4.  The S step and beta above never form this difference.
+        assert _rel_err(sig_inv[j], np.linalg.inv(sig[j])) < 1e-7

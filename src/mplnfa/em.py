@@ -282,28 +282,39 @@ def initialize(data, factors, g, k, seed, n_starts=3, model_id=None):
     x = _transformed(y, logc)
     rng = np.random.default_rng([seed, g])
     labels = _kmeans(x, g, rng, n_starts)
-    return _state_from_labels(y, logc, x, labels, g, k, model_id)
+    pi, mu, lam, psi, m, s, _, _, _, f = _start(y, logc, x, labels, g, k, model_id)
+    zhat = np.zeros((data.n, g))
+    zhat[np.arange(data.n), labels] = 1.0
+    return _model_and_state(g, k, model_id, pi, mu, lam, psi, m, s, zhat, f)
 
 
-def _state_from_labels(y, logc, x, labels, g, k, model_id):
+def _start(y, logc, x, labels, g, k, model_id):
+    """Starting point of a fit from k-means labels.
+
+    Returns (pi, mu, lam, psi, m, s, sig_inv, sig_logdet, caches, f): the
+    eigen-initialized parameters, variational means at the transformed
+    data, every S block INIT_S_SCALE * I, and the bound pieces at that
+    point.
+    """
     n, d = y.shape
     pi, mu, lam, psi = _init_params(x, labels, g, k, model_id)
     m = np.repeat(x[:, None, :], g, axis=1)
     s = np.broadcast_to(INIT_S_SCALE * np.eye(d), (n, g, d, d)).copy()
-    zhat = np.zeros((n, g))
-    zhat[np.arange(n), labels] = 1.0
-
+    logdet_s = np.full((n, g), d * np.log(INIT_S_SCALE))  # log|INIT_S_SCALE * I|
     sig_inv, sig_logdet = _sigma_from(lam, psi)
-    caches = _make_caches(y, logc, m, s, mu, sig_inv, sig_logdet)
+    caches = _make_caches(y, logc, m, s, mu, sig_inv, logdet_s)
     f = _assemble_f(caches, sig_logdet, d)
+    return pi, mu, lam, psi, m, s, sig_inv, sig_logdet, caches, f
 
+
+def _model_and_state(g, k, model_id, pi, mu, lam, psi, m, s, zhat, f):
+    """The fitted model and the variational state, with the factor
+    posterior (p, q) at (lam, psi)."""
     beta = stage2._beta_from(lam, psi)
     p = np.einsum("gkd,ngd->ngk", beta, m - mu[None])
     q = _q_from(lam, psi)
-
     model = _build_model(g, k, model_id, pi, mu, lam, psi)
-    state = VariationalState(m=m, s=s, p=p, q=q, zhat=zhat, f=f)
-    return model, state
+    return model, VariationalState(m=m, s=s, p=p, q=q, zhat=zhat, f=f)
 
 
 def _build_model(g, k, model_id, pi, mu, lam, psi):
@@ -367,13 +378,15 @@ def _q_from(lam, psi):
     return 0.5 * (q + q.transpose(0, 2, 1))
 
 
-def _make_caches(y, logc, m, s, mu, sig_inv, sig_logdet):
-    """Bound pieces reused across steps within an outer iteration."""
-    n, g, d = m.shape
+def _make_caches(y, logc, m, s, mu, sig_inv, logdet_s):
+    """Bound pieces reused across steps within an outer iteration.
+
+    logdet_s (n, G) is log|S| of every block, which the caller knows
+    without factorizing S.
+    """
+    d = m.shape[2]
     idx = np.arange(d)
-    s_diag = s[:, :, idx, idx]
-    rate, clamps = stage1._rates_batch(logc, m, s_diag)
-    sign, logdet_s = np.linalg.slogdet(s)
+    rate, clamps = stage1._rates_batch(logc, m, s[:, :, idx, idx])
     return {
         "rate": rate,
         "expsum": rate.sum(-1),
@@ -450,13 +463,9 @@ def _run_em(y, logc, x, labels, g, k, model_id, config):
     """Alternate the two stages from a label-based start to convergence."""
     n, d = y.shape
     idx = np.arange(d)
-    pi, mu, lam, psi = _init_params(x, labels, g, k, model_id)
-    m = np.repeat(x[:, None, :], g, axis=1)
-    s = np.broadcast_to(INIT_S_SCALE * np.eye(d), (n, g, d, d)).copy()
-
-    sig_inv, sig_logdet = _sigma_from(lam, psi)
-    caches = _make_caches(y, logc, m, s, mu, sig_inv, sig_logdet)
-    f = _assemble_f(caches, sig_logdet, d)
+    pi, mu, lam, psi, m, s, sig_inv, sig_logdet, caches, f = _start(
+        y, logc, x, labels, g, k, model_id
+    )
     trace = [_total_elbo(pi, f)]
 
     diag = {
@@ -527,11 +536,7 @@ def _run_em(y, logc, x, labels, g, k, model_id, config):
             diag["degenerate"] = True
             diag["empty_component_iteration"] = n_iter
 
-    beta = stage2._beta_from(lam, psi)
-    p = np.einsum("gkd,ngd->ngk", beta, m - mu[None])
-    q = _q_from(lam, psi)
-    model = _build_model(g, k, model_id, pi, mu, lam, psi)
-    state = VariationalState(m=m, s=s, p=p, q=q, zhat=zhat, f=f)
+    model, state = _model_and_state(g, k, model_id, pi, mu, lam, psi, m, s, zhat, f)
 
     loglik = trace[-1]
     rho = total_free_params(model_id, d, k, g)

@@ -293,8 +293,8 @@ def _rates_batch(logc, m, s_diag):
 
 def _quad_batch(m, mu, sig_inv):
     """(m - mu)' sigma^-1 (m - mu) for every pair, (n, G)."""
-    v = m - mu[None]
-    return np.einsum("ngd,gde,nge->ng", v, sig_inv, v)
+    v = np.swapaxes(m - mu[None], 0, 1)  # (G, n, d)
+    return ((v @ sig_inv) * v).sum(-1).T
 
 
 def _trace_batch(sig_inv, s):

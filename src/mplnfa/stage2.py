@@ -206,8 +206,8 @@ def make_stage2_stats(zhat, m, mu, lam, psi):
     n_g = zhat.sum(axis=0)
     if np.any(n_g < EMPTY_TOL):
         raise EmptyComponentError("empty component in second-stage statistics")
-    v = m - mu[None]
-    w = np.einsum("ng,ngd,nge->gde", zhat, v, v) / n_g[:, None, None]
+    v = np.swapaxes(m - mu[None], 0, 1)  # (G, n, d)
+    w = (np.swapaxes(v * zhat.T[..., None], 1, 2) @ v) / n_g[:, None, None]
     w = 0.5 * (w + w.transpose(0, 2, 1))
     beta = _beta_from(lam, psi)
     theta = _theta_from(beta, lam, w @ beta.transpose(0, 2, 1))
@@ -261,6 +261,13 @@ def _psi_pattern(model_id, bvec, n_g):
 def update_lambda_psi(model_id, stats, s_bar, lam, psi, max_inner=MAX_INNER, tol=INNER_TOL):
     """Inner fixed-point loop for loadings and error variances.
 
+    Runs the factor-analysis map (one sweep of exact block-coordinate
+    ascent per call) to its fixed point.  SQUAREM steps extrapolate
+    along the map's path; a step is taken only if it keeps every psi at
+    or above PSI_FLOOR and does not lower the inner objective, so the
+    result is the plain map's fixed point in fewer sweeps (see
+    `run_inner_loop`).
+
     Parameters
     ----------
     model_id : ModelId
@@ -273,6 +280,12 @@ def update_lambda_psi(model_id, stats, s_bar, lam, psi, max_inner=MAX_INNER, tol
         diagonals.
     lam, psi : (G, d, K), (G, d) arrays
         Warm-start values; must already satisfy the pattern.
+    max_inner : int
+        Budget of map calls ("sweeps"), including the calls made at
+        extrapolated points; 1 gives exactly one plain sweep.
+    tol : float
+        Convergence threshold on the Frobenius norms of the change in
+        lam and in psi over one map call.
 
     Returns
     -------
@@ -288,74 +301,153 @@ def update_lambda_psi(model_id, stats, s_bar, lam, psi, max_inner=MAX_INNER, tol
     return lam, psi
 
 
+def _sweep(model_id, w, ws_diag, n_g, eye, lam, psi):
+    """One application of the inner fixed-point map.
+
+    Re-fits the factor regression beta and the factor second moments
+    theta at (lam, psi), then the loadings, then the error variances,
+    each exactly, so the inner objective never decreases.  ws_diag is
+    diag(W_g) + S-bar_g (G, d) and eye the K x K identity, both fixed
+    over a loop.  Returns (lam_new, psi_new, objective at the input
+    (lam, psi), floor clamps).
+
+    The objective is the responsibility-weighted factorized bound with
+    the factor posterior at its optimum, plus the constant (K/2) sum n_g.
+    It is built from core, beta and W beta' and forms no sigma^-1:
+
+        -1/2 sum_g n_g [sum_j log psi_gj + log|I + lam_g' psi_g^-1 lam_g|
+                        + sum_j (W_gjj + S-bar_gj - sum_k (W_g beta_g')_jk lam_gjk) / psi_gj]
+    """
+    g, d, k = lam.shape
+    lam_psi = lam.transpose(0, 2, 1) / psi[:, None, :]
+    core = eye + lam_psi @ lam
+    try:
+        beta = np.linalg.solve(core, lam_psi)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"loading regression solve failed: {exc}") from None
+    wb = w @ beta.transpose(0, 2, 1)  # W_g beta_g', (G, d, K)
+    theta = eye - beta @ lam + beta @ wb
+    theta = 0.5 * (theta + theta.transpose(0, 2, 1))
+    resid = (ws_diag - np.einsum("gdk,gdk->gd", wb, lam)) / psi + np.log(psi)
+    objective = -0.5 * (n_g @ (resid.sum(-1) + np.linalg.slogdet(core)[1]))
+
+    if model_id.lambda_constrained:
+        weights = n_g[:, None] / psi  # (G, d)
+        lhs = (weights.T @ theta.reshape(g, k * k)).reshape(d, k, k)
+        rhs = (weights[..., None] * wb).sum(0)
+        try:
+            rows = np.linalg.solve(lhs, rhs[..., None])[..., 0]  # (d, K)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"shared-loading solve failed: {exc}") from None
+        lam_new = np.broadcast_to(rows, (g, d, k)).copy()
+    else:
+        try:
+            lam_new = np.linalg.solve(theta, wb.transpose(0, 2, 1)).transpose(0, 2, 1)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"loading solve failed: {exc}") from None
+
+    # diag(W_g - 2 lam beta_g W_g + lam theta_g lam') + S-bar_g maximizes
+    # over psi_g at fixed lam.  Per-component loadings satisfy
+    # lam_g theta_g = W_g beta_g', which cancels the theta term; shared
+    # loadings do not, so they keep the full form.
+    cross = (lam_new * wb).sum(-1)  # diag(lam beta_g W_g)
+    if model_id.lambda_constrained:
+        quad = ((lam_new @ theta) * lam_new).sum(-1)
+        bvec = ws_diag - 2.0 * cross + quad
+    else:
+        bvec = ws_diag - cross
+    psi_new = _psi_pattern(model_id, bvec, n_g)
+    psi_min = psi_new.min()
+    if psi_min <= PSI_DEGENERATE:
+        raise NumericalError(f"degenerate error variance (min {psi_min:.3g}) in inner loop")
+    floored = 0
+    if psi_min < PSI_FLOOR:
+        below = psi_new < PSI_FLOOR
+        floored = int(np.count_nonzero(below))
+        psi_new = np.where(below, PSI_FLOOR, psi_new)
+    return lam_new, psi_new, objective, floored
+
+
 def run_inner_loop(model_id, stats, s_bar, lam, psi, max_inner=MAX_INNER, tol=INNER_TOL):
     """As `update_lambda_psi` but reporting instead of raising on the
     sweep cap.  Returns (lam, psi, info) where info holds 'converged',
-    'sweeps', and 'psi_floored'."""
+    'sweeps' (map calls, extrapolated ones included) and 'psi_floored'.
+
+    The map `_sweep` is accelerated by SQUAREM-S3 cycles (Varadhan &
+    Roland 2008): from x0, take x1 = F(x0) and x2 = F(x1), set
+    r = x1 - x0, v = x2 - x1 - r and alpha = min(-|r|/|v|, -1), and
+    continue from F(x') with x' = x0 - 2 alpha r + alpha^2 v.  x = (lam, psi)
+    is extrapolated as one vector.  The safeguard takes x' only if every
+    psi' >= PSI_FLOOR and the objective at x' is at least the one at x1;
+    otherwise the cycle continues from x2.  So the objective never
+    decreases and the loop ends on a map output at the map's fixed point.
+    Constraint patterns are linear subspaces and x' is formed
+    elementwise, so tied loading rows and isotropic or shared psi stay
+    bitwise equal.  The loop stops when one map call moves lam and psi
+    each by less than `tol` (Frobenius norm), or after `max_inner` map
+    calls; `max_inner=1` is one plain sweep.
+    """
     if not isinstance(model_id, ModelId):
         raise InputError("model_id must be a ModelId")
     w = stats.w
     n_g = stats.n_g
     g, d, _ = w.shape
-    lam = np.array(lam, dtype=np.float64)
-    psi = np.array(psi, dtype=np.float64)
+    lam = np.asarray(lam, dtype=np.float64)
+    psi = np.asarray(psi, dtype=np.float64)
     if lam.shape[:2] != (g, d) or psi.shape != (g, d):
         raise InputError("warm-start lam must be (G, d, K) and psi (G, d)")
     k = lam.shape[2]
     s_bar = np.asarray(s_bar, dtype=np.float64)
     if s_bar.shape != (g, d):
         raise InputError("s_bar must be (G, d)")
-    idx = np.arange(d)
-    w_diag = w[:, idx, idx]
-    floored = 0
-    converged = False
+    ws_diag = w[:, np.arange(d), np.arange(d)] + s_bar  # diag(W_g) + S-bar_g
+    eye = np.eye(k)
+    n_lam = g * d * k
+    parts = np.array([0, n_lam])  # where the lam and psi parts of a packed x start
+    tol2 = tol * tol
     sweeps = 0
+    floored = 0
 
-    for sweeps in range(1, max_inner + 1):
-        beta = _beta_from(lam, psi)
-        wb = w @ beta.transpose(0, 2, 1)  # W_g beta_g', (G, d, K)
-        theta = _theta_from(beta, lam, wb)
+    def f_map(x):
+        """One map call: (F(x), objective at x, F(x) - x, |F(x) - x|^2,
+        whether lam and psi each moved by less than tol)."""
+        nonlocal sweeps, floored
+        sweeps += 1
+        lam_new, psi_new, objective, fl = _sweep(
+            model_id, w, ws_diag, n_g, eye, x[:n_lam].reshape(g, d, k), x[n_lam:].reshape(g, d)
+        )
+        floored += fl
+        x_new = np.concatenate((lam_new, psi_new), axis=None)
+        step = x_new - x
+        lam2, psi2 = np.add.reduceat(step * step, parts)
+        return x_new, objective, step, lam2 + psi2, lam2 < tol2 and psi2 < tol2
 
-        if model_id.lambda_constrained:
-            weights = n_g[:, None] / psi  # (G, d)
-            lhs = (weights.T @ theta.reshape(g, k * k)).reshape(d, k, k)
-            rhs = (weights[..., None] * wb).sum(0)
-            try:
-                rows = np.linalg.solve(lhs, rhs[..., None])[..., 0]  # (d, K)
-            except np.linalg.LinAlgError as exc:
-                raise NumericalError(f"shared-loading solve failed: {exc}") from None
-            lam_new = np.broadcast_to(rows, (g, d, k)).copy()
-        else:
-            try:
-                lam_new = np.linalg.solve(theta, wb.transpose(0, 2, 1)).transpose(0, 2, 1)
-            except np.linalg.LinAlgError as exc:
-                raise NumericalError(f"loading solve failed: {exc}") from None
-
-        # diag(W_g - 2 lam beta_g W_g + lam theta_g lam') + S-bar_g maximizes
-        # over psi_g at fixed lam.  Per-component loadings satisfy
-        # lam_g theta_g = W_g beta_g', which cancels the theta term; shared
-        # loadings do not, so they keep the full form.
-        cross = (lam_new * wb).sum(-1)  # diag(lam beta_g W_g)
-        if model_id.lambda_constrained:
-            quad = ((lam_new @ theta) * lam_new).sum(-1)
-            bvec = w_diag - 2.0 * cross + quad + s_bar
-        else:
-            bvec = w_diag - cross + s_bar
-        psi_new = _psi_pattern(model_id, bvec, n_g)
-        if np.any(psi_new <= PSI_DEGENERATE):
-            raise NumericalError(
-                f"degenerate error variance (min {psi_new.min():.3g}) in inner loop"
-            )
-        below = psi_new < PSI_FLOOR
-        if np.any(below):
-            floored += int(np.count_nonzero(below))
-            psi_new = np.where(below, PSI_FLOOR, psi_new)
-
-        lam_diff = np.linalg.norm(lam_new - lam)
-        psi_diff = np.linalg.norm(psi_new - psi)
-        lam, psi = lam_new, psi_new
-        if lam_diff < tol and psi_diff < tol:
-            converged = True
+    x0 = np.concatenate((lam, psi), axis=None)
+    while True:
+        x1, _, r, rr, small = f_map(x0)
+        if small or sweeps >= max_inner:
+            x, converged = x1, small
+            break
+        x2, obj1, u, _, small = f_map(x1)
+        if small or sweeps >= max_inner:
+            x, converged = x2, small
+            break
+        v = u - r
+        vv = v @ v
+        alpha = min(-float(np.sqrt(rr / vv)), -1.0) if vv > 0 else -1.0
+        xp = x0 - (2.0 * alpha) * r + (alpha * alpha) * v
+        x0 = x2
+        if xp[n_lam:].min() < PSI_FLOOR:
+            continue
+        x3, obj_p, _, _, small = f_map(xp)
+        if obj_p >= obj1:
+            x0 = x3
+            if small or sweeps >= max_inner:
+                x, converged = x3, small
+                break
+        elif sweeps >= max_inner:
+            x, converged = x2, False
             break
 
-    return lam, psi, {"converged": converged, "sweeps": sweeps, "psi_floored": floored}
+    return (x[:n_lam].reshape(g, d, k), x[n_lam:].reshape(g, d),
+            {"converged": bool(converged), "sweeps": sweeps, "psi_floored": floored})

@@ -46,6 +46,7 @@ def _ones(n):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_01_true_triple_recovery(capsys):
     """Ten replicates of the shared-isotropic two-component preset, fit
     at the generating (G=2, K=3, CCC): mean ARI at least 0.98, every
@@ -98,6 +99,7 @@ def _selection_study(preset_name, g_hi, k_hi, truth_triple):
     return hits, float(np.mean(sel_aris))
 
 
+@pytest.mark.slow
 def test_criterion_02_selection_recovers_four_component_shared_variance(capsys):
     """Ten replicates of the four-component preset, each fit over the
     full grid G 1..5, K 1..3, all eight constraint patterns (120 fits
@@ -117,6 +119,7 @@ def test_criterion_02_selection_recovers_four_component_shared_variance(capsys):
     assert elapsed <= 1800
 
 
+@pytest.mark.slow
 def test_criterion_03_selection_recovers_three_component_unconstrained(capsys):
     """Ten replicates of the three-component unconstrained preset over
     a grid whose ranges bracket the generating values by one (G 1..4,

@@ -146,6 +146,18 @@ def test_initialize_respects_constraint_pattern(rng):
     assert np.all(a.psi == a.psi[0])
 
 
+@pytest.mark.parametrize("d", [1, 4, 40])
+def test_start_log_det_s_is_the_dense_log_det(rng, d):
+    # the starting blocks are INIT_S_SCALE * I, whose log-determinant the
+    # start writes down without factorizing them
+    n, g = 30, 2
+    y = rng.poisson(5.0, (n, d)).astype(np.float64)
+    labels = np.arange(n) % g
+    *_, s, _, _, caches, _ = em._start(y, np.zeros(n), np.log1p(y), labels, g, 1,
+                                       ModelId.from_string("UUU"))
+    np.testing.assert_allclose(caches["logdet_s"], np.linalg.slogdet(s)[1], rtol=1e-12, atol=0)
+
+
 # ---------------------------------------------------------------------------
 # single fits
 # ---------------------------------------------------------------------------

@@ -256,12 +256,23 @@ def test_batched_bound_matches_scalar_loop(rng):
     mu = rng.normal(1.0, 0.5, (g, d))
     sig = np.stack([random_spd(rng, d) for _ in range(g)])
     sig_inv, sig_logdet = stage1._sigma_factors(sig)
-    caches = em._make_caches(y.astype(np.float64), logc, m, s, mu, sig_inv, sig_logdet)
+    caches = em._make_caches(y.astype(np.float64), logc, m, s, mu, sig_inv,
+                             np.linalg.slogdet(s)[1])
     f = em._assemble_f(caches, sig_logdet, d)
     for i in range(n):
         for j in range(g):
             ref = elbo_stage1(y[i], np.exp(logc[i]), m[i, j], s[i, j], mu[j], sig[j])
             assert f[i, j] == pytest.approx(ref, rel=1e-10)
+
+
+def test_quad_batch_matches_einsum(rng):
+    n, g, d = 9, 3, 5
+    m = rng.normal(1.0, 0.5, (n, g, d))
+    mu = rng.normal(1.0, 0.5, (g, d))
+    sig_inv = stage1._sigma_factors(np.stack([random_spd(rng, d) for _ in range(g)]))[0]
+    v = m - mu[None]
+    ref = np.einsum("ngd,gde,nge->ng", v, sig_inv, v)
+    np.testing.assert_allclose(stage1._quad_batch(m, mu, sig_inv), ref, rtol=1e-12, atol=0)
 
 
 def test_guarded_batch_updates_match_public_functions(rng):
@@ -275,7 +286,7 @@ def test_guarded_batch_updates_match_public_functions(rng):
     psi = rng.uniform(0.2, 1.0, (g, d))
     sig = lam @ lam.transpose(0, 2, 1) + psi[:, :, None] * np.eye(d)
     sig_inv, sig_logdet = stage1._sigma_factors(sig)
-    caches = em._make_caches(y, logc, m, s, mu, sig_inv, sig_logdet)
+    caches = em._make_caches(y, logc, m, s, mu, sig_inv, np.linalg.slogdet(s)[1])
 
     s_new, trs, logdet_s, rate, expsum, _, _ = stage1._update_s_guarded(
         sig_inv, logc, m, s, caches["trs"], caches["logdet_s"], caches["expsum"],

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mplnfa.core import ALL_MODELS, EmptyComponentError, InputError, ModelId
@@ -71,6 +71,18 @@ def test_compute_w_is_psd(rng):
 def test_compute_w_empty_component():
     with pytest.raises(EmptyComponentError):
         compute_w(np.zeros(3), np.zeros((3, 2)), np.zeros(2))
+
+
+def test_stage2_scatter_matches_einsum(rng):
+    n, g, d = 11, 3, 4
+    zhat = rng.dirichlet(np.ones(g), n)
+    m = rng.normal(1.0, 0.5, (n, g, d))
+    mu = rng.normal(1.0, 0.5, (g, d))
+    lam, psi = constrained_draw(rng, ModelId.from_string("UUU"), g, d, 2)
+    v = m - mu[None]
+    ref = np.einsum("ng,ngd,nge->gde", zhat, v, v) / zhat.sum(0)[:, None, None]
+    w = make_stage2_stats(zhat, m, mu, lam, psi).w
+    np.testing.assert_allclose(w, 0.5 * (ref + ref.transpose(0, 2, 1)), rtol=1e-12, atol=0)
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +272,53 @@ def test_inner_sweeps_ascend_aggregated_bound(seed):
         cur = aggregated_stage2_objective(lam, psi, stats.w, s_bar_full, stats.n_g)
         assert cur >= prev - slack * max(1.0, abs(prev))
         prev = cur
+
+
+@pytest.mark.parametrize("mid", ALL_MODELS, ids=str)
+def test_sweep_objective_is_the_aggregated_bound(rng, mid):
+    # the objective a sweep reports at its input is the factorized bound
+    # with beta at its optimum, shifted by the constant (K/2) sum n_g
+    for _ in range(5):
+        g, d, k = int(rng.integers(1, 4)), int(rng.integers(3, 7)), int(rng.integers(1, 3))
+        stats, s_bar, lam, psi = random_stats(rng, g, d, k, mid)
+        ws_diag = np.diagonal(stats.w, axis1=1, axis2=2) + s_bar
+        objective = stage2._sweep(mid, stats.w, ws_diag, stats.n_g, np.eye(k), lam, psi)[2]
+        s_bar_full = np.stack([np.diag(s_bar[j]) for j in range(g)])
+        ref = aggregated_stage2_objective(lam, psi, stats.w, s_bar_full, stats.n_g)
+        assert objective - 0.5 * k * stats.n_g.sum() == pytest.approx(ref, rel=1e-10)
+
+
+@given(seed=st.integers(0, 5_000))
+@settings(max_examples=20, deadline=None)
+def test_accelerated_loop_ascends_to_the_plain_fixed_point(seed):
+    # the plain map, iterated one sweep per call, is the reference: the
+    # extrapolated loop must never end below its start, and run to a tight
+    # tolerance it must stop at the plain map's fixed point
+    r = np.random.default_rng(seed)
+    g, d, k = int(r.integers(1, 4)), int(r.integers(3, 7)), int(r.integers(1, 3))
+    mid = ALL_MODELS[int(r.integers(0, 8))]
+    stats, s_bar, lam0, psi0 = random_stats(r, g, d, k, mid)
+    s_bar_full = np.stack([np.diag(s_bar[j]) for j in range(g)])
+
+    def objective(lam, psi):
+        return aggregated_stage2_objective(lam, psi, stats.w, s_bar_full, stats.n_g)
+
+    lam, psi, _ = run_inner_loop(mid, stats, s_bar, lam0, psi0)
+    start = objective(lam0, psi0)
+    assert objective(lam, psi) >= start - 1e-10 * abs(start)
+
+    lam_ref, psi_ref = lam0, psi0
+    for _ in range(20_000):
+        lam_ref, psi_ref, info = run_inner_loop(mid, stats, s_bar, lam_ref, psi_ref,
+                                                max_inner=1, tol=1e-12)
+        if info["converged"]:
+            break
+    assume(info["converged"])
+    lam, psi, info = run_inner_loop(mid, stats, s_bar, lam0, psi0, max_inner=20_000, tol=1e-10)
+    assert info["converged"]
+    np.testing.assert_allclose(lam @ lam.transpose(0, 2, 1),
+                               lam_ref @ lam_ref.transpose(0, 2, 1), rtol=0, atol=1e-5)
+    np.testing.assert_allclose(psi, psi_ref, rtol=0, atol=1e-5)
 
 
 def test_constraint_patterns_bitwise(rng):

@@ -1,11 +1,13 @@
 """Scores, initialization, the outer fitting loop, and the model grid."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mplnfa import em
+from mplnfa import em, stage1, stage2
 from mplnfa.core import ALL_MODELS, InputError, ModelId, NumericalError
 from mplnfa.em import FitConfig, bic, fit_single, grid_search, icl, initialize
 from mplnfa.evaluate import ari
@@ -156,6 +158,91 @@ def test_start_log_det_s_is_the_dense_log_det(rng, d):
     *_, s, _, _, caches, _ = em._start(y, np.zeros(n), np.log1p(y), labels, g, 1,
                                        ModelId.from_string("UUU"))
     np.testing.assert_allclose(caches["logdet_s"], np.linalg.slogdet(s)[1], rtol=1e-12, atol=0)
+
+
+def _sigma_guard_case():
+    """A covariance step whose traced bound peaks inside the step.
+
+    S holds an off-diagonal part that cancels most of the scatter's
+    rank-one structure.  The inner loop reads only diag(S), so it fits
+    larger loadings than the bound with the full S prefers.  Starting
+    from (4 opt - inner) / 3, where opt is the bound's own factor fit
+    and inner the inner loop's, the bound peaks about a quarter of the
+    way along the step.
+    """
+    rng = np.random.default_rng(0)
+    n, d, k = 40, 4, 1
+    model_id = ModelId.from_string("UUU")
+    u = np.ones(d) / np.sqrt(d)
+    m = 2.0 * rng.normal(0.0, 1.0, (n, 1, 1)) * u + rng.normal(0.0, 0.5, (n, 1, d))
+    zhat = np.ones((n, 1))
+    mu = m.mean(axis=0)
+    lam1, psi1 = np.full((1, d, k), 0.5), np.ones((1, d))
+    stats = stage2.make_stage2_stats(zhat, m, mu, lam1, psi1)
+    top = np.linalg.eigvalsh(stats.w[0])[-1]
+    s = np.broadcast_to(0.5 * top * (np.eye(d) - np.outer(u, u)) + 0.1 * np.eye(d),
+                        (n, 1, d, d)).copy()
+    s_bar = s[:, :, np.arange(d), np.arange(d)].mean(axis=0)
+    a_bar = stats.w + s.mean(axis=0)
+    lam_in, psi_in, _ = stage2.run_inner_loop(model_id, stats, s_bar, lam1, psi1, tol=1e-12)
+    lam_opt, psi_opt, _ = stage2.run_inner_loop(
+        model_id, dataclasses.replace(stats, w=a_bar), np.zeros((1, d)), lam1, psi1, tol=1e-12
+    )
+    lam, psi = (4.0 * lam_opt - lam_in) / 3.0, (4.0 * psi_opt - psi_in) / 3.0
+    assert psi.min() > 0
+    lam_new, psi_new, _ = stage2.run_inner_loop(model_id, stats, s_bar, lam, psi)
+    etas = 0.5 ** np.arange(stage1.MAX_HALVINGS)  # the full step, then 9 halvings
+    bounds = np.array([
+        em._sigma_bound_part(*em._sigma_from(lam + eta * (lam_new - lam),
+                                             psi + eta * (psi_new - psi)), a_bar, stats.n_g)
+        for eta in etas
+    ])
+    return (model_id, zhat, s, stats, s_bar, lam, psi, a_bar), (lam_new, psi_new), etas, bounds
+
+
+def _guard_with_floor(case, floor):
+    """Run the sigma guard from case with its previous bound set to floor."""
+    model_id, zhat, s, stats, s_bar, lam, psi, a_bar = case
+    sig_inv, sig_logdet = em._sigma_from(lam, psi)
+    j_true = em._sigma_bound_part(sig_inv, sig_logdet, a_bar, stats.n_g)
+    # the previous bound is -1/2 sum n_g (tr + log|sigma|), so lowering
+    # log|sigma| raises it
+    sig_logdet = sig_logdet - 2.0 * (floor - j_true) / stats.n_g.sum()
+    out = em._guarded_sigma_step(model_id, zhat, s, stats, s_bar, lam, psi, sig_inv, sig_logdet)
+    j_old = em._sigma_bound_part(sig_inv, sig_logdet, a_bar, stats.n_g)
+    return out, j_old, sig_inv, sig_logdet
+
+
+def test_sigma_guard_backtracks_to_the_first_passing_halving():
+    case, (lam_new, psi_new), etas, bounds = _sigma_guard_case()
+    lam, psi = case[5], case[6]
+    b_peak = int(np.argmax(bounds))
+    assert b_peak >= 2
+    floor = 0.5 * (bounds[b_peak] + bounds[:b_peak].max())
+    (lam_out, psi_out, sig_inv, sig_logdet, info, backtracks, rejected), j_old, _, _ = \
+        _guard_with_floor(case, floor)
+    slack = 1e-9 * max(1.0, abs(j_old))
+    b = int(np.nonzero(bounds >= j_old - slack)[0][0])
+    assert b == b_peak
+    assert backtracks == b and not rejected
+    np.testing.assert_array_equal(lam_out, lam + 2.0 ** -b * (lam_new - lam))
+    np.testing.assert_array_equal(psi_out, psi + 2.0 ** -b * (psi_new - psi))
+    ref_inv, ref_logdet = em._sigma_from(lam_out, psi_out)
+    np.testing.assert_array_equal(sig_inv, ref_inv)
+    np.testing.assert_array_equal(sig_logdet, ref_logdet)
+    assert info["converged"]
+
+
+def test_sigma_guard_rejects_when_no_candidate_passes():
+    case, _, _, bounds = _sigma_guard_case()
+    lam, psi = case[5], case[6]
+    out, _, sig_inv, sig_logdet = _guard_with_floor(case, bounds.max() + 1.0)
+    lam_out, psi_out, inv_out, logdet_out, _, backtracks, rejected = out
+    assert rejected and backtracks == stage1.MAX_HALVINGS
+    np.testing.assert_array_equal(lam_out, lam)
+    np.testing.assert_array_equal(psi_out, psi)
+    np.testing.assert_array_equal(inv_out, sig_inv)
+    np.testing.assert_array_equal(logdet_out, sig_logdet)
 
 
 # ---------------------------------------------------------------------------

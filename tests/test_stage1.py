@@ -305,6 +305,76 @@ def test_guarded_batch_updates_match_public_functions(rng):
             ref = update_m(y[i], np.exp(logc[i]), sig[j], mu[j], m[i, j], s_new[i, j])
             np.testing.assert_allclose(m_new[i, j], ref, atol=1e-10)
 
+    # Means far below log(y + 1) with larger counts: the full step
+    # S grad overshoots, so the batched m step halves.
+    y = 10.0 * y
+    m = np.log1p(y)[:, None, :].repeat(g, axis=1) - 3.0
+    rate = stage1._rates_batch(logc, m, np.diagonal(s_new, axis1=-2, axis2=-1))[0]
+    m_new, *_, n_guarded = stage1._update_m_guarded(
+        y, logc, sig_inv, mu, m, s_new, rate, stage1._quad_batch(m, mu, sig_inv)
+    )
+    assert n_guarded > 0
+    for i in range(n):
+        for j in range(g):
+            ref = update_m(y[i], np.exp(logc[i]), sig[j], mu[j], m[i, j], s_new[i, j])
+            np.testing.assert_allclose(m_new[i, j], ref, atol=1e-10)
+
+
+def _s_phi(sig_inv, logc, m, s):
+    """The S-dependent bound terms of one block, with a dense slogdet."""
+    rate = np.exp(logc + m + 0.5 * np.diag(s))
+    return -0.5 * np.trace(sig_inv @ s) + 0.5 * np.linalg.slogdet(s)[1] - rate.sum()
+
+
+def test_s_step_halving_matches_dense_loop():
+    # Large component covariances and small rates: the fixed-point step
+    # from a small S overshoots, so the bound terms along S + eta (S_full - S)
+    # peak at eta = 1/2 or 1/4.  Each pair's cached terms are set to a
+    # floor that picks one branch: the full step, the first halving, the
+    # second, or none.
+    rng = np.random.default_rng(0)
+    n, g, d, k = 2, 2, 3, 2
+    lam = rng.normal(0.0, 5.0, (g, d, k))
+    psi = 5.0 * rng.uniform(0.2, 1.0, (g, d))
+    sig_inv, sig_logdet = em._sigma_from(lam, psi)
+    logc = np.zeros(n)
+    m = -3.0 + rng.uniform(-0.5, 0.5, (n, g, d))
+    s = np.broadcast_to(0.01 * np.eye(d), (n, g, d, d)).copy()
+    zeros = np.zeros((n, g))
+    s_full = stage1._update_s_guarded(
+        sig_inv, logc, m, s, zeros, np.full((n, g), -np.inf), zeros, lam, psi, sig_logdet,
+    )[0]
+
+    etas = 0.5 ** np.arange(stage1.MAX_HALVINGS + 1)  # the full step, then the halvings
+    phis = np.array([[[_s_phi(sig_inv[j], logc[i], m[i, j], s[i, j] + eta * (s_full[i, j] - s[i, j]))
+                       for eta in etas] for j in range(g)] for i in range(n)])
+    floor = np.empty((n, g))
+    floor[0, 0] = phis[0, 0, 0] - 1.0  # the full step passes
+    for (i, j), b in (((0, 1), 1), ((1, 1), 2)):  # first passes at eta = 2^-b
+        assert phis[i, j, b] > phis[i, j, :b].max() + 1e-3
+        floor[i, j] = 0.5 * (phis[i, j, b] + phis[i, j, :b].max())
+    floor[1, 0] = phis[1, 0].max() + 1.0  # nothing passes
+    # phi_old = -tr/2 + log|S|/2 - sum(rate), so these caches make it the floor
+    s_new, trs, logdet_s, rate, expsum, _, n_guarded = stage1._update_s_guarded(
+        sig_inv, logc, m, s, zeros, 2.0 * floor, zeros, lam, psi, sig_logdet,
+    )
+    assert n_guarded == 3
+    idx = np.arange(d)
+    for i in range(n):
+        for j in range(g):
+            passed = np.nonzero(phis[i, j] >= floor[i, j])[0]
+            if len(passed):
+                ref = s[i, j] + etas[passed[0]] * (s_full[i, j] - s[i, j])
+                np.testing.assert_allclose(s_new[i, j], ref, rtol=0, atol=1e-12)
+            else:  # the previous S, with its cached pieces
+                np.testing.assert_array_equal(s_new[i, j], s[i, j])
+                ref = s[i, j]
+            assert logdet_s[i, j] == pytest.approx(np.linalg.slogdet(ref)[1], rel=1e-12)
+            assert trs[i, j] == pytest.approx(np.trace(sig_inv[j] @ ref), rel=1e-12)
+            ref_rate = np.exp(logc[i] + m[i, j] + 0.5 * ref[idx, idx])
+            np.testing.assert_allclose(rate[i, j], ref_rate, rtol=1e-12)
+            assert expsum[i, j] == pytest.approx(ref_rate.sum(), rel=1e-12)
+
 
 # ---------------------------------------------------------------------------
 # factor-form kernels agree with the dense reference

@@ -74,7 +74,6 @@ class FitConfig:
     max_outer: int = 1000
     tol_outer: float = 1e-5
     seed: int = 0
-    e_step_sweeps: int = 1
     em_restarts: int = 1
 
     def __post_init__(self):
@@ -92,7 +91,7 @@ class FitConfig:
         if len(set(models)) != len(models):
             raise InputError("models must be distinct")
         object.__setattr__(self, "models", models)
-        for name in ("n_starts", "max_outer", "e_step_sweeps", "em_restarts"):
+        for name in ("n_starts", "max_outer", "em_restarts"):
             v = int(getattr(self, name))
             if v < 1:
                 raise InputError(f"{name} must be at least 1")
@@ -312,7 +311,7 @@ def _model_and_state(g, k, model_id, pi, mu, lam, psi, m, s, zhat, f):
     posterior (p, q) at (lam, psi)."""
     beta = stage2._beta_from(lam, psi)
     p = np.einsum("gkd,ngd->ngk", beta, m - mu[None])
-    q = _q_from(lam, psi)
+    q = stage2._q_from(lam, psi)
     model = _build_model(g, k, model_id, pi, mu, lam, psi)
     return model, VariationalState(m=m, s=s, p=p, q=q, zhat=zhat, f=f)
 
@@ -371,11 +370,6 @@ def _sigma_from(lam, psi):
     sig_inv[:, np.arange(d), np.arange(d)] += 1.0 / psi
     sig_inv = 0.5 * (sig_inv + sig_inv.transpose(0, 2, 1))
     return sig_inv, np.log(psi).sum(-1) + np.linalg.slogdet(core)[1]
-
-
-def _q_from(lam, psi):
-    q = np.linalg.inv(stage2._factor_core(lam, psi)[1])
-    return 0.5 * (q + q.transpose(0, 2, 1))
 
 
 def _make_caches(y, logc, m, s, mu, sig_inv, logdet_s):
@@ -442,21 +436,23 @@ def _guarded_sigma_step(model_id, zhat, s, stats, s_bar, lam, psi, sig_inv, sig_
     slack = 1e-9 * max(1.0, abs(j_old))
 
     lam_new, psi_new, info = stage2.run_inner_loop(model_id, stats, s_bar, lam, psi)
-    backtracks = 0
-    rejected = False
-    eta = 1.0
-    lam_cand, psi_cand = lam_new, psi_new
-    for _ in range(stage1.MAX_HALVINGS):
-        cand_inv, cand_logdet = _sigma_from(lam_cand, psi_cand)
-        if _sigma_bound_part(cand_inv, cand_logdet, a_bar, n_g) >= j_old - slack:
-            return lam_cand, psi_cand, cand_inv, cand_logdet, info, backtracks, rejected
-        backtracks += 1
-        eta *= 0.5
+    new_inv, new_logdet = _sigma_from(lam_new, psi_new)
+    if _sigma_bound_part(new_inv, new_logdet, a_bar, n_g) >= j_old - slack:
+        return lam_new, psi_new, new_inv, new_logdet, info, 0, False
+
+    def candidate(eta):
         # convex combinations keep tied rows tied and psi above its floor
-        lam_cand = lam + eta * (lam_new - lam)
-        psi_cand = psi + eta * (psi_new - psi)
-    rejected = True
-    return lam, psi, sig_inv, sig_logdet, info, backtracks, rejected
+        return lam + eta * (lam_new - lam), psi + eta * (psi_new - psi)
+
+    def bound_at(eta):
+        return _sigma_bound_part(*_sigma_from(*candidate(eta)), a_bar, n_g)
+
+    # the full step failed; the halvings make up the rest of the budget
+    eta = float(stage1._halve(bound_at, j_old - slack, stage1.MAX_HALVINGS - 1))
+    if eta == 0.0:
+        return lam, psi, sig_inv, sig_logdet, info, stage1.MAX_HALVINGS, True
+    lam_c, psi_c = candidate(eta)
+    return lam_c, psi_c, *_sigma_from(lam_c, psi_c), info, -int(np.log2(eta)), False
 
 
 def _run_em(y, logc, x, labels, g, k, model_id, config):
@@ -493,24 +489,23 @@ def _run_em(y, logc, x, labels, g, k, model_id, config):
             diag["empty_component_iteration"] = t
             break
 
-        for _sweep in range(config.e_step_sweeps):
-            (s, caches["trs"], caches["logdet_s"], caches["rate"], caches["expsum"],
-             cl, nb) = stage1._update_s_guarded(
-                sig_inv, logc, m, s, caches["trs"], caches["logdet_s"], caches["expsum"],
-                lam, psi, sig_logdet,
-            )
-            diag["exp_clamped"] += cl
-            diag["s_guard_backtracks"] += nb
-            (m, caches["rate"], caches["expsum"], caches["quad"], caches["my"],
-             cl, nb) = stage1._update_m_guarded(
-                y, logc, sig_inv, mu, m, s, caches["rate"], caches["quad"]
-            )
-            diag["exp_clamped"] += cl
-            diag["m_guard_backtracks"] += nb
+        (s, caches["trs"], caches["logdet_s"], caches["rate"], caches["expsum"],
+         cl, nb) = stage1._update_s_guarded(
+            sig_inv, logc, m, s, caches["trs"], caches["logdet_s"], caches["expsum"],
+            lam, psi, sig_logdet,
+        )
+        diag["exp_clamped"] += cl
+        diag["s_guard_backtracks"] += nb
+        (m, caches["rate"], caches["expsum"], caches["quad"], caches["my"],
+         cl, nb) = stage1._update_m_guarded(
+            y, logc, sig_inv, mu, m, s, caches["rate"], caches["quad"]
+        )
+        diag["exp_clamped"] += cl
+        diag["m_guard_backtracks"] += nb
 
         pi, mu = stage1.update_pi_mu(zhat, m)
 
-        stats = stage2.make_stage2_stats(zhat, m, mu, lam, psi)
+        stats = stage2.make_stage2_stats(zhat, m, mu)
         s_bar = np.einsum("ng,ngd->gd", zhat, s[:, :, idx, idx]) / n_g[:, None]
         lam, psi, sig_inv, sig_logdet, info, nb, rej = _guarded_sigma_step(
             model_id, zhat, s, stats, s_bar, lam, psi, sig_inv, sig_logdet

@@ -302,6 +302,26 @@ def _trace_batch(sig_inv, s):
     return np.einsum("gde,ngde->ng", sig_inv, s)
 
 
+def _halve(phi_at, floor, halvings=MAX_HALVINGS):
+    """The step-halving search shared by the guarded updates.
+
+    Tries eta = 1/2, 1/4, ... (`halvings` values) for every entry of
+    `floor` and returns each entry's first eta whose objective is finite
+    and at least its floor, or 0 where none is.  phi_at(eta) gets the
+    current eta of every entry (an accepted entry keeps its own) and
+    returns their objectives.
+    """
+    eta = np.full(np.shape(floor), 0.5)
+    ok = np.zeros(eta.shape, dtype=bool)
+    for _ in range(halvings):
+        phi = phi_at(eta)
+        ok |= np.isfinite(phi) & (phi >= floor)
+        if ok.all():
+            break
+        eta[~ok] *= 0.5
+    return np.where(ok, eta, 0.0)
+
+
 def _update_s_guarded(sig_inv, logc, m, s, trs, logdet_s, expsum, lam, psi, sig_logdet):
     """Batched covariance refresh with an ascent guard.
 
@@ -356,27 +376,21 @@ def _update_s_guarded(sig_inv, logc, m, s, trs, logdet_s, expsum, lam, psi, sig_
         bi, bg = np.nonzero(bad)
         s_old_b = s[bi, bg]
         step = s_new[bi, bg] - s_old_b
-        eta = np.full(len(bi), 0.5)
-        best = s_old_b.copy()
-        ok = np.zeros(len(bi), dtype=bool)
-        for _ in range(MAX_HALVINGS):
-            cand = s_old_b + eta[:, None, None] * step
-            ld_c = np.linalg.slogdet(cand)[1]
-            tr_c = np.einsum("bde,bed->b", sig_inv[bg], cand)
-            rate_c = _clamped_rate(logc[bi][:, None], m[bi, bg], cand[:, idx, idx])
-            phi_c = -0.5 * tr_c + 0.5 * ld_c - rate_c.sum(-1)
-            good = (~ok) & (phi_c >= phi_old[bi, bg] - slack[bi, bg])
-            if np.any(good):
-                best[good] = cand[good]
-                ok |= good
-            if ok.all():
-                break
-            eta[~ok] *= 0.5
+
+        def terms(cand):
+            """(tr(sigma^-1 S), log|S|, rates) of candidate blocks."""
+            return (np.einsum("bde,bed->b", sig_inv[bg], cand), np.linalg.slogdet(cand)[1],
+                    _clamped_rate(logc[bi][:, None], m[bi, bg], cand[:, idx, idx]))
+
+        def phi_at(eta):
+            tr_c, ld_c, rate_c = terms(s_old_b + eta[:, None, None] * step)
+            return -0.5 * tr_c + 0.5 * ld_c - rate_c.sum(-1)
+
+        eta = _halve(phi_at, phi_old[bi, bg] - slack[bi, bg])[:, None, None]
+        best = np.where(eta > 0, s_old_b + eta * step, s_old_b)
         sub = 0.5 * (best + np.swapaxes(best, -1, -2))
         s_new[bi, bg] = sub
-        trs_new[bi, bg] = np.einsum("bde,bed->b", sig_inv[bg], sub)
-        logdet_new[bi, bg] = np.linalg.slogdet(sub)[1]
-        rate_b = _clamped_rate(logc[bi][:, None], m[bi, bg], sub[:, idx, idx])
+        trs_new[bi, bg], logdet_new[bi, bg], rate_b = terms(sub)
         rate_new[bi, bg] = rate_b
         expsum_new[bi, bg] = rate_b.sum(-1)
     return s_new, trs_new, logdet_new, rate_new, expsum_new, clamps, n_guarded
@@ -415,26 +429,20 @@ def _update_m_guarded(y, logc, sig_inv, mu, m, s, rate, quad):
         bi, bg = np.nonzero(bad)
         m_old_b = m[bi, bg]
         step_b = step[bi, bg]
-        eta = np.full(len(bi), 0.5)
-        best = m_old_b.copy()
-        ok = np.zeros(len(bi), dtype=bool)
-        for _ in range(MAX_HALVINGS):
-            cand = m_old_b + eta[:, None] * step_b
-            rate_c = _clamped_rate(logc[bi][:, None], cand, s_diag[bi, bg])
+
+        def terms(cand):
+            """(rates, (m - mu)' sigma^-1 (m - mu), m'y) of candidate means."""
             v = cand - mu[bg]
-            quad_c = np.einsum("bd,bde,be->b", v, sig_inv[bg], v)
-            phi_c = np.einsum("bd,bd->b", cand, y[bi]) - rate_c.sum(-1) - 0.5 * quad_c
-            good = (~ok) & np.isfinite(phi_c) & (phi_c >= phi0[bi, bg] - slack[bi, bg])
-            if np.any(good):
-                best[good] = cand[good]
-                ok |= good
-            if ok.all():
-                break
-            eta[~ok] *= 0.5
+            return (_clamped_rate(logc[bi][:, None], cand, s_diag[bi, bg]),
+                    np.einsum("bd,bde,be->b", v, sig_inv[bg], v),
+                    np.einsum("bd,bd->b", cand, y[bi]))
+
+        def phi_at(eta):
+            rate_c, quad_c, my_c = terms(m_old_b + eta[:, None] * step_b)
+            return my_c - rate_c.sum(-1) - 0.5 * quad_c
+
+        eta = _halve(phi_at, phi0[bi, bg] - slack[bi, bg])[:, None]
+        best = np.where(eta > 0, m_old_b + eta * step_b, m_old_b)
         m_new[bi, bg] = best
-        rate_b = _clamped_rate(logc[bi][:, None], best, s_diag[bi, bg])
-        rate_new[bi, bg] = rate_b
-        v = best - mu[bg]
-        quad_new[bi, bg] = np.einsum("bd,bde,be->b", v, sig_inv[bg], v)
-        my_new[bi, bg] = np.einsum("bd,bd->b", best, y[bi])
+        rate_new[bi, bg], quad_new[bi, bg], my_new[bi, bg] = terms(best)
     return m_new, rate_new, rate_new.sum(-1), quad_new, my_new, clamps, n_guarded

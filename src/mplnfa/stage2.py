@@ -51,47 +51,30 @@ class Stage2NonConvergence(NumericalError):
 class Stage2Stats:
     """Per-component sufficient statistics for the covariance updates.
 
+    The factor regression and the factor second moments depend on the
+    loadings, so the inner loop refits them every sweep (`_sweep`).
+
     Fields
     ------
     w : (G, d, d) array
         Responsibility-weighted scatter of the variational means.
-    beta : (G, K, d) array
-        Regression of factors on the latent log scale.
-    theta : (G, K, K) array
-        Second moments of the factor scores, each SPD.
     n_g : (G,) array
         Effective component sizes, positive.
     """
 
     w: np.ndarray
-    beta: np.ndarray
-    theta: np.ndarray
     n_g: np.ndarray
 
     def __post_init__(self):
         w = np.asarray(self.w, dtype=np.float64)
-        beta = np.asarray(self.beta, dtype=np.float64)
-        theta = np.asarray(self.theta, dtype=np.float64)
         n_g = np.asarray(self.n_g, dtype=np.float64)
         if w.ndim != 3 or w.shape[1] != w.shape[2]:
             raise InputError("w must be (G, d, d)")
-        g, d = w.shape[0], w.shape[1]
-        if beta.ndim != 3 or beta.shape[0] != g or beta.shape[2] != d:
-            raise InputError("beta must be (G, K, d)")
-        k = beta.shape[1]
-        if theta.shape != (g, k, k):
-            raise InputError("theta must be (G, K, K)")
-        if n_g.shape != (g,) or np.any(n_g <= 0):
+        if n_g.shape != (w.shape[0],) or np.any(n_g <= 0):
             raise InputError("n_g must be positive with length G")
         if not np.allclose(w, w.transpose(0, 2, 1), rtol=0, atol=1e-8):
             raise InputError("w matrices must be symmetric")
-        try:
-            np.linalg.cholesky(0.5 * (theta + theta.transpose(0, 2, 1)))
-        except np.linalg.LinAlgError:
-            raise InputError("theta matrices must be positive definite") from None
         object.__setattr__(self, "w", w)
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "n_g", n_g)
 
 
@@ -115,20 +98,17 @@ def compute_w(zhat_g, m_g, mu_g):
 
 
 def update_q(lam_g, psi_g):
-    """Factor-score posterior covariance (I + lam' psi^-1 lam)^-1."""
+    """Factor-score posterior covariance (I + lam' psi^-1 lam)^-1.
+
+    Validates one component's factors and returns `_q_from` of them.
+    """
     lam_g = np.asarray(lam_g, dtype=np.float64)
     psi_g = np.asarray(psi_g, dtype=np.float64)
     if lam_g.ndim != 2:
         raise InputError("lam_g must be a (d, K) matrix")
-    d, k = lam_g.shape
-    if psi_g.shape != (d,) or np.any(psi_g <= 0):
+    if psi_g.shape != (lam_g.shape[0],) or np.any(psi_g <= 0):
         raise InputError("psi_g must be a positive length-d vector")
-    a = np.eye(k) + (lam_g / psi_g[:, None]).T @ lam_g
-    try:
-        q = np.linalg.inv(a)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"factor covariance solve failed: {exc}") from None
-    return 0.5 * (q + q.T)
+    return _q_from(lam_g[None], psi_g[None])[0]
 
 
 def update_p(beta_g, m_ig, mu_g):
@@ -196,22 +176,20 @@ def elbo_stage2(y, c, m, s, mu_g, lam_g, psi_g, p, q):
     )
 
 
-def make_stage2_stats(zhat, m, mu, lam, psi):
-    """Assemble `Stage2Stats` from responsibilities and current parameters."""
+def make_stage2_stats(zhat, m, mu):
+    """Assemble `Stage2Stats`: the scatter W_g of the variational means
+    (n, G, d) around the component means mu (G, d), weighted by the
+    responsibilities zhat (n, G), and the effective sizes n_g."""
     zhat = np.asarray(zhat, dtype=np.float64)
     m = np.asarray(m, dtype=np.float64)
     mu = np.asarray(mu, dtype=np.float64)
-    lam = np.asarray(lam, dtype=np.float64)
-    psi = np.asarray(psi, dtype=np.float64)
     n_g = zhat.sum(axis=0)
     if np.any(n_g < EMPTY_TOL):
         raise EmptyComponentError("empty component in second-stage statistics")
     v = np.swapaxes(m - mu[None], 0, 1)  # (G, n, d)
     w = (np.swapaxes(v * zhat.T[..., None], 1, 2) @ v) / n_g[:, None, None]
     w = 0.5 * (w + w.transpose(0, 2, 1))
-    beta = _beta_from(lam, psi)
-    theta = _theta_from(beta, lam, w @ beta.transpose(0, 2, 1))
-    return Stage2Stats(w=w, beta=beta, theta=theta, n_g=n_g)
+    return Stage2Stats(w=w, n_g=n_g)
 
 
 def _factor_core(lam, psi):
@@ -236,12 +214,10 @@ def _beta_from(lam, psi):
     return _factor_core(lam, psi)[0]
 
 
-def _theta_from(beta, lam, wb):
-    """theta_g = I - beta_g lam_g + beta_g W_g beta_g', batched (G, K, K),
-    from wb = W_g beta_g' (G, d, K)."""
-    k = beta.shape[1]
-    theta = np.eye(k)[None] - beta @ lam + beta @ wb
-    return 0.5 * (theta + theta.transpose(0, 2, 1))
+def _q_from(lam, psi):
+    """Factor-score posterior covariances core^-1, batched (G, K, K)."""
+    q = np.linalg.inv(_factor_core(lam, psi)[1])
+    return 0.5 * (q + q.transpose(0, 2, 1))
 
 
 def _psi_pattern(model_id, bvec, n_g):
@@ -273,8 +249,7 @@ def update_lambda_psi(model_id, stats, s_bar, lam, psi, max_inner=MAX_INNER, tol
     model_id : ModelId
         Constraint pattern to enforce.
     stats : Stage2Stats
-        Scatter matrices and effective sizes (beta/theta fields are
-        recomputed each sweep and only used for validation here).
+        Scatter matrices and effective sizes.
     s_bar : (G, d) array
         Responsibility-weighted means of the variational covariance
         diagonals.
@@ -319,12 +294,7 @@ def _sweep(model_id, w, ws_diag, n_g, eye, lam, psi):
                         + sum_j (W_gjj + S-bar_gj - sum_k (W_g beta_g')_jk lam_gjk) / psi_gj]
     """
     g, d, k = lam.shape
-    lam_psi = lam.transpose(0, 2, 1) / psi[:, None, :]
-    core = eye + lam_psi @ lam
-    try:
-        beta = np.linalg.solve(core, lam_psi)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"loading regression solve failed: {exc}") from None
+    beta, core = _factor_core(lam, psi)
     wb = w @ beta.transpose(0, 2, 1)  # W_g beta_g', (G, d, K)
     theta = eye - beta @ lam + beta @ wb
     theta = 0.5 * (theta + theta.transpose(0, 2, 1))

@@ -295,7 +295,7 @@ def test_criterion_06c_single_component_estimators_collapse(capsys):
 
     results = {}
     for model in ALL_MODELS:
-        stats = stage2.make_stage2_stats(zhat, m, mu, lam0, psi0)
+        stats = stage2.make_stage2_stats(zhat, m, mu)
         lam, psi, info = stage2.run_inner_loop(
             model, stats, s_bar, lam0.copy(), psi0.copy(), max_inner=300, tol=1e-12
         )

@@ -178,7 +178,7 @@ def _sigma_guard_case():
     zhat = np.ones((n, 1))
     mu = m.mean(axis=0)
     lam1, psi1 = np.full((1, d, k), 0.5), np.ones((1, d))
-    stats = stage2.make_stage2_stats(zhat, m, mu, lam1, psi1)
+    stats = stage2.make_stage2_stats(zhat, m, mu)
     top = np.linalg.eigvalsh(stats.w[0])[-1]
     s = np.broadcast_to(0.5 * top * (np.eye(d) - np.outer(u, u)) + 0.1 * np.eye(d),
                         (n, 1, d, d)).copy()

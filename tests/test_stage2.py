@@ -38,8 +38,7 @@ def random_stats(rng, g, d, k, mid):
     a = rng.standard_normal((g, d, d)) * 0.7
     w = np.einsum("gde,gfe->gdf", a, a) + np.eye(d) * rng.uniform(0.2, 1.0)
     lam, psi = constrained_draw(rng, mid, g, d, k)
-    base = make_stage2_stats(np.ones((1, g)), np.zeros((1, g, d)), np.zeros((g, d)), lam, psi)
-    stats = Stage2Stats(w=w, beta=base.beta, theta=base.theta, n_g=n_g)
+    stats = Stage2Stats(w=w, n_g=n_g)
     s_bar = rng.uniform(0.01, 0.3, (g, d))
     return stats, s_bar, lam, psi
 
@@ -78,10 +77,9 @@ def test_stage2_scatter_matches_einsum(rng):
     zhat = rng.dirichlet(np.ones(g), n)
     m = rng.normal(1.0, 0.5, (n, g, d))
     mu = rng.normal(1.0, 0.5, (g, d))
-    lam, psi = constrained_draw(rng, ModelId.from_string("UUU"), g, d, 2)
     v = m - mu[None]
     ref = np.einsum("ng,ngd,nge->gde", zhat, v, v) / zhat.sum(0)[:, None, None]
-    w = make_stage2_stats(zhat, m, mu, lam, psi).w
+    w = make_stage2_stats(zhat, m, mu).w
     np.testing.assert_allclose(w, 0.5 * (ref + ref.transpose(0, 2, 1)), rtol=1e-12, atol=0)
 
 
@@ -207,9 +205,7 @@ def test_inner_loop_gaussian_limit_recovers_covariance(rng):
     sigma_true = lam_true @ lam_true.T + np.diag(psi_true)
     m = rng.multivariate_normal(np.zeros(d), sigma_true, n)
     w = (m.T @ m / n)[None]
-    stats0 = make_stage2_stats(np.ones((1, 1)), np.zeros((1, 1, d)), np.zeros((1, d)),
-                               lam_true[None], psi_true[None])
-    stats = Stage2Stats(w=w, beta=stats0.beta, theta=stats0.theta, n_g=np.array([float(n)]))
+    stats = Stage2Stats(w=w, n_g=np.array([float(n)]))
     lam0 = rng.uniform(-0.5, 0.5, (1, d, k))
     psi0 = np.full((1, d), 0.6)
     lam, psi, info = run_inner_loop(ModelId.from_string("UUU"), stats,
@@ -342,9 +338,7 @@ def test_fixed_point_when_scatter_matches_model(rng):
     mid = ModelId.from_string("CCU")
     lam0, psi0 = constrained_draw(rng, mid, g, d, k)
     w = np.stack([lam0[j] @ lam0[j].T + np.diag(psi0[j]) for j in range(g)])
-    base = make_stage2_stats(np.ones((1, g)), np.zeros((1, g, d)), np.zeros((g, d)),
-                             lam0, psi0)
-    stats = Stage2Stats(w=w, beta=base.beta, theta=base.theta, n_g=np.array([80.0, 120.0]))
+    stats = Stage2Stats(w=w, n_g=np.array([80.0, 120.0]))
     lam, psi, _ = run_inner_loop(mid, stats, np.zeros((g, d)), lam0, psi0)
     np.testing.assert_allclose(lam @ lam.transpose(0, 2, 1),
                                lam0 @ lam0.transpose(0, 2, 1), atol=1e-6)
@@ -368,9 +362,7 @@ def test_run_inner_loop_reports_floor_events(rng):
     w[:, np.arange(d), np.arange(d)] = 1e-9
     lam0 = np.full((g, d, k), 1e-8)
     psi0 = np.full((g, d), 0.5)
-    base = make_stage2_stats(np.ones((1, g)), np.zeros((1, g, d)), np.zeros((g, d)),
-                             lam0, psi0)
-    stats = Stage2Stats(w=w, beta=base.beta, theta=base.theta, n_g=np.array([50.0]))
+    stats = Stage2Stats(w=w, n_g=np.array([50.0]))
     lam, psi, info = run_inner_loop(ModelId.from_string("UUU"), stats,
                                     np.zeros((g, d)), lam0, psi0)
     assert info["psi_floored"] > 0

@@ -13,7 +13,7 @@ must agree with them exactly (enforced by tests).
 """
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 from .core import EmptyComponentError, InputError, NumericalError
 
@@ -218,9 +218,10 @@ def update_m(y, c, sigma, mu, m_prev, s_new):
 def update_responsibilities(f, pi):
     """Posterior component probabilities from per-pair objectives.
 
-    Computes softmax(log pi_g + f_ig) row-wise with log-sum-exp
-    stabilization, so the result is invariant to adding a per-row
-    constant to f.
+    Computes softmax(log pi_g + f_ig) row-wise: each row's maximum is
+    subtracted before exponentiating and the row is divided by its sum,
+    so the result is invariant to adding a per-row constant to f and its
+    rows sum to 1 to rounding even where |f| is huge.
     """
     f = np.asarray(f, dtype=np.float64)
     pi = np.asarray(pi, dtype=np.float64)
@@ -233,7 +234,8 @@ def update_responsibilities(f, pi):
     if not np.all(np.isfinite(f)):
         raise InputError("f must be finite")
     logw = np.log(pi)[None, :] + f
-    return np.exp(logw - logsumexp(logw, axis=1, keepdims=True))
+    w = np.exp(logw - logw.max(axis=1, keepdims=True))
+    return w / w.sum(axis=1, keepdims=True)
 
 
 def update_pi_mu(zhat, m):

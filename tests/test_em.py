@@ -439,6 +439,16 @@ def test_grid_search_raises_when_everything_fails(rng, monkeypatch):
         grid_search(data, factors, cfg, threads=1)
 
 
+
+def test_grid_search_fits_counts_near_a_billion():
+    # Bounds near -2e8: responsibilities must still sum to 1 closely
+    # enough for the mixing proportions to pass their check.
+    y = np.random.default_rng(0).poisson(1e9, (40, 4))
+    cfg = _quick_config(g_range=(1, 2), k_range=(1, 1))
+    out = grid_search(make_counts(y), unit_factors(40), cfg, threads=1)
+    assert out.best.g == 1
+    assert all(e.error == "" for e in out.entries)
+
 def test_grid_search_identical_across_thread_counts(rng):
     data, factors, _ = _grid_data(rng)
     cfg = _quick_config(g_range=(1, 2), k_range=(1, 2),

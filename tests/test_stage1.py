@@ -193,6 +193,17 @@ def test_responsibilities_shift_invariance(seed, shift):
     np.testing.assert_allclose(z1.sum(axis=1), 1.0, atol=1e-12)
 
 
+
+def test_responsibilities_rows_sum_to_one_at_huge_objectives():
+    # Per-pair bounds near -2e8, as with counts near 1e9: a log-sum-exp
+    # of that size carries an absolute rounding error of about 3e-8, so
+    # exp(logw - lse) rows can miss 1 by more than the 1e-10 that the
+    # mixing proportions are held to.
+    r = np.random.default_rng(3)
+    f = -2e8 + r.normal(0.0, 1.0, (200, 3))
+    z = update_responsibilities(f, np.array([0.2, 0.3, 0.5]))
+    np.testing.assert_allclose(z.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
 def test_update_pi_mu_hard_assignments():
     zhat = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     m = np.zeros((3, 2, 1))

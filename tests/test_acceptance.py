@@ -175,6 +175,7 @@ def test_criterion_04_elbo_traces_never_decrease(capsys):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_05_bound_below_quadrature_log_marginal(capsys):
     """Fifty random two-dimensional instances: after optimizing the
     variational pair (m, S), the first-stage bound sits at or below

@@ -160,15 +160,17 @@ def test_start_log_det_s_is_the_dense_log_det(rng, d):
     np.testing.assert_allclose(caches["logdet_s"], np.linalg.slogdet(s)[1], rtol=1e-12, atol=0)
 
 
-def _sigma_guard_case():
-    """A covariance step whose traced bound peaks inside the step.
+def _sigma_guard_case(c):
+    """A covariance step whose traced bound is not maximized at its end.
 
     S holds an off-diagonal part that cancels most of the scatter's
     rank-one structure.  The inner loop reads only diag(S), so it fits
-    larger loadings than the bound with the full S prefers.  Starting
-    from (4 opt - inner) / 3, where opt is the bound's own factor fit
-    and inner the inner loop's, the bound peaks about a quarter of the
-    way along the step.
+    larger loadings than the bound with the full S prefers.  The start
+    is opt + c (opt - inner), where opt is the bound's own factor fit
+    and inner the inner loop's: at c = 1/3 the bound peaks about a
+    quarter of the way along the step, at c = -1/2 it falls along all
+    of it.  Returns the guard's arguments, a_bar, the inner loop's
+    result, and the bound at eta = 1, 1/2, ..., 1/1024 along the step.
     """
     rng = np.random.default_rng(0)
     n, d, k = 40, 4, 1
@@ -176,73 +178,69 @@ def _sigma_guard_case():
     u = np.ones(d) / np.sqrt(d)
     m = 2.0 * rng.normal(0.0, 1.0, (n, 1, 1)) * u + rng.normal(0.0, 0.5, (n, 1, d))
     zhat = np.ones((n, 1))
-    mu = m.mean(axis=0)
-    lam1, psi1 = np.full((1, d, k), 0.5), np.ones((1, d))
-    stats = stage2.make_stage2_stats(zhat, m, mu)
+    stats = stage2.make_stage2_stats(zhat, m, m.mean(axis=0))
     top = np.linalg.eigvalsh(stats.w[0])[-1]
     s = np.broadcast_to(0.5 * top * (np.eye(d) - np.outer(u, u)) + 0.1 * np.eye(d),
                         (n, 1, d, d)).copy()
     s_bar = s[:, :, np.arange(d), np.arange(d)].mean(axis=0)
     a_bar = stats.w + s.mean(axis=0)
+    lam1, psi1 = np.full((1, d, k), 0.5), np.ones((1, d))
     lam_in, psi_in, _ = stage2.run_inner_loop(model_id, stats, s_bar, lam1, psi1, tol=1e-12)
     lam_opt, psi_opt, _ = stage2.run_inner_loop(
         model_id, dataclasses.replace(stats, w=a_bar), np.zeros((1, d)), lam1, psi1, tol=1e-12
     )
-    lam, psi = (4.0 * lam_opt - lam_in) / 3.0, (4.0 * psi_opt - psi_in) / 3.0
+    lam, psi = lam_opt + c * (lam_opt - lam_in), psi_opt + c * (psi_opt - psi_in)
     assert psi.min() > 0
     lam_new, psi_new, _ = stage2.run_inner_loop(model_id, stats, s_bar, lam, psi)
-    etas = 0.5 ** np.arange(stage1.MAX_HALVINGS)  # the full step, then 9 halvings
     bounds = np.array([
         em._sigma_bound_part(*em._sigma_from(lam + eta * (lam_new - lam),
                                              psi + eta * (psi_new - psi)), a_bar, stats.n_g)
-        for eta in etas
+        for eta in 0.5 ** np.arange(stage1.MAX_HALVINGS + 1)
     ])
-    return (model_id, zhat, s, stats, s_bar, lam, psi, a_bar), (lam_new, psi_new), etas, bounds
+    return (model_id, zhat, s, stats, s_bar, lam, psi), a_bar, (lam_new, psi_new), bounds
 
 
-def _guard_with_floor(case, floor):
-    """Run the sigma guard from case with its previous bound set to floor."""
-    model_id, zhat, s, stats, s_bar, lam, psi, a_bar = case
-    sig_inv, sig_logdet = em._sigma_from(lam, psi)
-    j_true = em._sigma_bound_part(sig_inv, sig_logdet, a_bar, stats.n_g)
-    # the previous bound is -1/2 sum n_g (tr + log|sigma|), so lowering
-    # log|sigma| raises it
-    sig_logdet = sig_logdet - 2.0 * (floor - j_true) / stats.n_g.sum()
-    out = em._guarded_sigma_step(model_id, zhat, s, stats, s_bar, lam, psi, sig_inv, sig_logdet)
-    j_old = em._sigma_bound_part(sig_inv, sig_logdet, a_bar, stats.n_g)
-    return out, j_old, sig_inv, sig_logdet
-
-
-def test_sigma_guard_backtracks_to_the_first_passing_halving():
-    case, (lam_new, psi_new), etas, bounds = _sigma_guard_case()
-    lam, psi = case[5], case[6]
-    b_peak = int(np.argmax(bounds))
+def test_sigma_guard_backtracks_or_rejects():
+    # The guard tries the full step, then 9 halvings: MAX_HALVINGS
+    # candidates, one fewer than the S and m guards.
+    peak = _sigma_guard_case(1.0 / 3.0)
+    fall = _sigma_guard_case(-0.5)
+    b_peak = int(np.argmax(peak[3]))
     assert b_peak >= 2
-    floor = 0.5 * (bounds[b_peak] + bounds[:b_peak].max())
-    (lam_out, psi_out, sig_inv, sig_logdet, info, backtracks, rejected), j_old, _, _ = \
-        _guard_with_floor(case, floor)
-    slack = 1e-9 * max(1.0, abs(j_old))
-    b = int(np.nonzero(bounds >= j_old - slack)[0][0])
-    assert b == b_peak
-    assert backtracks == b and not rejected
-    np.testing.assert_array_equal(lam_out, lam + 2.0 ** -b * (lam_new - lam))
-    np.testing.assert_array_equal(psi_out, psi + 2.0 ** -b * (psi_new - psi))
-    ref_inv, ref_logdet = em._sigma_from(lam_out, psi_out)
-    np.testing.assert_array_equal(sig_inv, ref_inv)
-    np.testing.assert_array_equal(sig_logdet, ref_logdet)
-    assert info["converged"]
-
-
-def test_sigma_guard_rejects_when_no_candidate_passes():
-    case, _, _, bounds = _sigma_guard_case()
-    lam, psi = case[5], case[6]
-    out, _, sig_inv, sig_logdet = _guard_with_floor(case, bounds.max() + 1.0)
-    lam_out, psi_out, inv_out, logdet_out, _, backtracks, rejected = out
-    assert rejected and backtracks == stage1.MAX_HALVINGS
-    np.testing.assert_array_equal(lam_out, lam)
-    np.testing.assert_array_equal(psi_out, psi)
-    np.testing.assert_array_equal(inv_out, sig_inv)
-    np.testing.assert_array_equal(logdet_out, sig_logdet)
+    assert np.all(np.diff(fall[3]) > 0)
+    # (case, floor, the candidate that passes first or None)
+    for (args, a_bar, (lam_new, psi_new), bounds), floor, first in (
+        (peak, 0.5 * (peak[3][b_peak] + peak[3][:b_peak].max()), b_peak),
+        (peak, peak[3].max() + 1.0, None),
+        (fall, 0.5 * (fall[3][-3] + fall[3][-2]), 9),  # the last halving
+        (fall, 0.5 * (fall[3][-2] + fall[3][-1]), None),  # only an 11th candidate would pass
+    ):
+        stats, lam, psi = args[3], args[5], args[6]
+        sig_inv, sig_logdet = em._sigma_from(lam, psi)
+        j_true = em._sigma_bound_part(sig_inv, sig_logdet, a_bar, stats.n_g)
+        # the previous bound is -1/2 sum n_g (tr + log|sigma|), so lowering
+        # log|sigma| raises it to the floor
+        logdet = sig_logdet - 2.0 * (floor - j_true) / stats.n_g.sum()
+        lam_out, psi_out, inv_out, logdet_out, info, backtracks, rejected = \
+            em._guarded_sigma_step(*args, sig_inv, logdet)
+        j_old = em._sigma_bound_part(sig_inv, logdet, a_bar, stats.n_g)
+        tried = bounds[:stage1.MAX_HALVINGS]
+        passed = np.nonzero(tried >= j_old - 1e-9 * max(1.0, abs(j_old)))[0]
+        assert (passed[0] if len(passed) else None) == first
+        if len(passed):
+            b = passed[0]
+            assert backtracks == b and not rejected
+            np.testing.assert_array_equal(lam_out, lam + 2.0 ** -b * (lam_new - lam))
+            np.testing.assert_array_equal(psi_out, psi + 2.0 ** -b * (psi_new - psi))
+            ref_inv, ref_logdet = em._sigma_from(lam_out, psi_out)
+            np.testing.assert_array_equal(inv_out, ref_inv)
+            np.testing.assert_array_equal(logdet_out, ref_logdet)
+        else:
+            assert rejected and backtracks == stage1.MAX_HALVINGS
+            for got, given in ((lam_out, lam), (psi_out, psi), (inv_out, sig_inv),
+                               (logdet_out, logdet)):
+                np.testing.assert_array_equal(got, given)
+        assert info["converged"]
 
 
 # ---------------------------------------------------------------------------

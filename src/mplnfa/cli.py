@@ -3,8 +3,8 @@
 Exit codes: 0 on success, 1 for validation problems (bad flags or
 malformed input files), 2 for runtime failures.  All commands are
 deterministic given their flags; fitting fans out over a worker pool
-whose size is capped by --threads or the MPLNFA_THREADS variable
-without affecting results.
+whose size is capped by --threads (default: the CPU count) without
+affecting results.
 """
 
 import json
@@ -77,7 +77,7 @@ def _parse_models(text):
 @click.option("--seed", default=0, show_default=True, help="Seed for initialization.")
 @click.option("--starts", default=3, show_default=True, help="k-means seedings per G.")
 @click.option("--out-dir", "out_dir", required=True, type=click.Path(), help="Output directory.")
-@click.option("--threads", default=None, type=int, help="Worker-pool cap (default: MPLNFA_THREADS or CPU count).")
+@click.option("--threads", default=None, type=int, help="Worker-pool cap (default: CPU count).")
 def fit_command(input_path, gmin, gmax, kmin, kmax, models, normalize, factors_path,
                 seed, starts, out_dir, threads):
     """Fit the model grid to a counts CSV and select by BIC."""

@@ -74,7 +74,6 @@ class FitConfig:
     max_outer: int = 1000
     tol_outer: float = 1e-5
     seed: int = 0
-    em_restarts: int = 1
 
     def __post_init__(self):
         g_lo, g_hi = (int(self.g_range[0]), int(self.g_range[1]))
@@ -91,7 +90,7 @@ class FitConfig:
         if len(set(models)) != len(models):
             raise InputError("models must be distinct")
         object.__setattr__(self, "models", models)
-        for name in ("n_starts", "max_outer", "em_restarts"):
+        for name in ("n_starts", "max_outer"):
             v = int(getattr(self, name))
             if v < 1:
                 raise InputError(f"{name} must be at least 1")
@@ -167,8 +166,6 @@ def _kmeans(x, g, rng, n_starts, max_iter=200):
     redrawn up to `KMEANS_RESEEDS` times before failing.
     """
     n, d = x.shape
-    if g > n:
-        raise InputError(f"cannot form {g} clusters from {n} samples")
     best_labels, best_wcss = None, np.inf
     for _ in range(n_starts):
         labels = None
@@ -242,12 +239,9 @@ def _init_params(x, labels, g, k, model_id):
     return pi, mu, lam, psi
 
 
-def _transformed(y, logc):
-    """Per-sample log counts net of exposure, log(y + 1) - log C_i."""
-    return np.log1p(y) - logc[:, None]
-
-
-def _check_pair(data, factors):
+def _prepare(data, factors):
+    """Check the data/factors pair; return the counts y, log C and the
+    transformed data x = log(y + 1) - log C_i."""
     if not isinstance(data, CountMatrix):
         raise InputError("data must be a CountMatrix")
     if not isinstance(factors, NormalizationFactors):
@@ -256,6 +250,22 @@ def _check_pair(data, factors):
         raise InputError(
             f"normalization factors length {factors.n} does not match sample count {data.n}"
         )
+    y = data.values.astype(np.float64)
+    logc = np.log(factors.c)
+    return y, logc, np.log1p(y) - logc[:, None]
+
+
+def _check_ranges(data, g_range, k_range):
+    """G must lie in [1, n] and K in [1, d] over the whole requested range."""
+    if not 1 <= g_range[0] <= g_range[1] <= data.n:
+        raise InputError(f"G range {g_range} is outside [1, {data.n}]")
+    if not 1 <= k_range[0] <= k_range[1] <= data.d:
+        raise InputError(f"K range {k_range} is outside [1, {data.d}]")
+
+
+def _start_labels(x, g, seed, n_starts):
+    """The k-means labels every fit with G components starts from."""
+    return _kmeans(x, g, np.random.default_rng([seed, g]), n_starts)
 
 
 def initialize(data, factors, g, k, seed, n_starts=3, model_id=None):
@@ -264,23 +274,17 @@ def initialize(data, factors, g, k, seed, n_starts=3, model_id=None):
     Clusters log-transformed counts with k-means, then builds component
     parameters by per-cluster eigen-decomposition and a variational
     state centred on the transformed data.  The same arguments always
-    produce bitwise-identical output.
+    produce bitwise-identical output, the start that `fit_single` and
+    `grid_search` use for this (seed, G).
 
     Returns (MixtureModel, VariationalState).
     """
-    _check_pair(data, factors)
+    y, logc, x = _prepare(data, factors)
     if model_id is None:
         model_id = ModelId.from_string("UUU")
     g, k = int(g), int(k)
-    if g < 1:
-        raise InputError("G must be at least 1")
-    if not (1 <= k <= data.d):
-        raise InputError(f"K must be in [1, {data.d}], got {k}")
-    y = data.values.astype(np.float64)
-    logc = np.log(factors.c)
-    x = _transformed(y, logc)
-    rng = np.random.default_rng([seed, g])
-    labels = _kmeans(x, g, rng, n_starts)
+    _check_ranges(data, (g, g), (k, k))
+    labels = _start_labels(x, g, seed, n_starts)
     pi, mu, lam, psi, m, s, _, _, _, f = _start(y, logc, x, labels, g, k, model_id)
     zhat = np.zeros((data.n, g))
     zhat[np.arange(data.n), labels] = 1.0
@@ -558,30 +562,16 @@ def _run_em(y, logc, x, labels, g, k, model_id, config):
 def fit_single(data, factors, g, k, model_id, config):
     """Fit one (G, K, model) triple.
 
-    Runs `config.em_restarts` independently seeded starts and keeps
-    the one with the highest final bound (restart 0 reproduces the
-    single-start behaviour exactly).
+    Starts from the (config.seed, G) k-means labels, so the result is
+    bitwise the grid-search cell of the same triple.
     """
-    _check_pair(data, factors)
+    y, logc, x = _prepare(data, factors)
     g, k = int(g), int(k)
     if not isinstance(model_id, ModelId):
         raise InputError("model_id must be a ModelId")
-    if g < 1 or g > data.n:
-        raise InputError(f"G must be in [1, {data.n}], got {g}")
-    if not (1 <= k <= data.d):
-        raise InputError(f"K must be in [1, {data.d}], got {k}")
-    y = data.values.astype(np.float64)
-    logc = np.log(factors.c)
-    x = _transformed(y, logc)
-
-    best = None
-    for r in range(config.em_restarts):
-        entropy = [config.seed, g] if r == 0 else [config.seed, r, g]
-        labels = _kmeans(x, g, np.random.default_rng(entropy), config.n_starts)
-        result = _run_em(y, logc, x, labels, g, k, model_id, config)
-        if best is None or result.loglik_approx > best.loglik_approx:
-            best = result
-    return best
+    _check_ranges(data, (g, g), (k, k))
+    labels = _start_labels(x, g, config.seed, config.n_starts)
+    return _run_em(y, logc, x, labels, g, k, model_id, config)
 
 
 # ---------------------------------------------------------------------------
@@ -591,14 +581,7 @@ def fit_single(data, factors, g, k, model_id, config):
 
 def _resolve_threads(threads):
     if threads is None:
-        env = os.environ.get("MPLNFA_THREADS", "").strip()
-        if env:
-            try:
-                threads = int(env)
-            except ValueError:
-                raise InputError(f"MPLNFA_THREADS must be an integer, got {env!r}") from None
-        else:
-            threads = os.cpu_count() or 1
+        threads = os.cpu_count() or 1
     threads = int(threads)
     if threads < 1:
         raise InputError("thread count must be at least 1")
@@ -616,26 +599,19 @@ def grid_search(data, factors, config, threads=None):
     BIC argmin with ties broken by that order, independent of worker
     scheduling.
     """
-    _check_pair(data, factors)
+    y, logc, x = _prepare(data, factors)
     if not isinstance(config, FitConfig):
         raise InputError("config must be a FitConfig")
+    _check_ranges(data, config.g_range, config.k_range)
     g_lo, g_hi = config.g_range
     k_lo, k_hi = config.k_range
-    if k_hi > data.d:
-        raise InputError(f"k_range upper bound {k_hi} exceeds dimension {data.d}")
-    if g_hi > data.n:
-        raise InputError(f"g_range upper bound {g_hi} exceeds sample count {data.n}")
     threads = _resolve_threads(threads)
 
-    y = data.values.astype(np.float64)
-    logc = np.log(factors.c)
-    x = _transformed(y, logc)
     # A G whose k-means start fails is recorded against each of its triples.
     labels_by_g, start_errors = {}, {}
     for g in range(g_lo, g_hi + 1):
         try:
-            labels_by_g[g] = _kmeans(x, g, np.random.default_rng([config.seed, g]),
-                                     config.n_starts)
+            labels_by_g[g] = _start_labels(x, g, config.seed, config.n_starts)
         except NumericalError as exc:
             start_errors[g] = str(exc)
     triples = [

@@ -1,6 +1,7 @@
 """CSV/JSON input and output: parsing, validation, and artifact stability."""
 
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -194,6 +195,16 @@ def test_build_report_structure(tmp_path, small_grid):
     assert len(report["grid"]) == 4
     assert all(e["error"] == "" for e in report["grid"])
     json.dumps(report)  # must be serializable as-is
+
+
+def test_report_config_names_every_fit_config_field(tmp_path, small_grid):
+    # A setting missing from the report cannot be read back from a run's artifacts.
+    data, factors, cfg, result = small_grid
+    counts_path = tmp_path / "in.csv"
+    write_counts(counts_path, data)
+    report = build_report(result, data, cfg, counts_path, "none", threads=2, version="1.0.0")
+    fields = [f.name for f in dataclasses.fields(FitConfig)]
+    assert list(report["config"]) == fields + ["threads"]
 
 
 def test_report_json_is_rerun_stable(tmp_path, small_grid):

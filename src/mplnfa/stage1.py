@@ -341,11 +341,12 @@ def _update_s_guarded(sig_inv, logc, m, s, trs, logdet_s, expsum, lam, psi, sig_
     Takes and returns the cached bound pieces that depend on S.
 
     Returns (s_new, trs, logdet_s, rate at (m, s_new), expsum, clamps,
-    n_guarded).
+    n_guarded); clamps counts the clamped rates of the full step's S.
     """
     n, g, d = m.shape
     idx = np.arange(d)
-    rate_prev, clamps = _rates_batch(logc, m, s[:, :, idx, idx])
+    # counted where they were made (the start or the m step)
+    rate_prev = _rates_batch(logc, m, s[:, :, idx, idx])[0]
     psi_rate = psi[None] * rate_prev
     h = 1.0 / (1.0 + psi_rate)
     v = h[..., None] * lam[None]  # (n, G, d, K)
@@ -363,8 +364,7 @@ def _update_s_guarded(sig_inv, logc, m, s, trs, logdet_s, expsum, lam, psi, sig_
     logdet_new = sig_logdet[None] - np.log1p(psi_rate).sum(-1) - logdet_m
 
     trs_new = _trace_batch(sig_inv, s_new)
-    rate_new, cl2 = _rates_batch(logc, m, s_new[:, :, idx, idx])
-    clamps += cl2
+    rate_new, clamps = _rates_batch(logc, m, s_new[:, :, idx, idx])
     expsum_new = rate_new.sum(-1)
 
     phi_old = -0.5 * trs + 0.5 * logdet_s - expsum

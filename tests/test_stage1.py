@@ -387,6 +387,30 @@ def test_s_step_halving_matches_dense_loop():
             assert expsum[i, j] == pytest.approx(ref_rate.sum(), rel=1e-12)
 
 
+def test_s_step_counts_only_the_clamps_at_its_new_s():
+    # log C + m = 699 with S = 4 I puts every previous rate past the exp
+    # clamp; the refreshed S is about 1 / rate, so no new rate is.  The
+    # previous rates were counted where they were made (the start or the
+    # m step), so the S step must not count them again.
+    rng = np.random.default_rng(1)
+    n, g, d, k = 3, 2, 4, 1
+    lam = rng.normal(0.0, 1.0, (g, d, k))
+    psi = rng.uniform(0.2, 1.0, (g, d))
+    sig_inv, sig_logdet = em._sigma_from(lam, psi)
+    logc = np.full(n, 690.0)
+    m = np.full((n, g, d), 9.0)
+    s = np.broadcast_to(4.0 * np.eye(d), (n, g, d, d)).copy()
+    assert stage1._rates_batch(logc, m, np.diagonal(s, axis1=-2, axis2=-1))[1] == n * g * d
+    zeros = np.zeros((n, g))
+    s_new, *_, clamps, n_guarded = stage1._update_s_guarded(
+        sig_inv, logc, m, s, zeros, np.full((n, g), -np.inf), zeros, lam, psi, sig_logdet,
+    )
+    assert n_guarded == 0
+    arg = logc[:, None, None] + m + 0.5 * np.diagonal(s_new, axis1=-2, axis2=-1)
+    assert np.all(np.abs(arg) < stage1.EXP_CLAMP)
+    assert clamps == 0
+
+
 # ---------------------------------------------------------------------------
 # factor-form kernels agree with the dense reference
 # ---------------------------------------------------------------------------

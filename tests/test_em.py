@@ -440,6 +440,7 @@ def test_grid_search_fits_counts_near_a_billion():
     assert out.best.g == 1
     assert all(e.error == "" for e in out.entries)
 
+
 def _degenerate_counts(kind, seed):
     """Counts that strain the fitter: identical rows, a zero column, huge
     counts, many more variables than samples, or two to three samples."""

@@ -2,7 +2,8 @@
 """Print the sha256 of every CLI artifact of a fixed set of commands.
 
 The commands are the criterion-10 `simulate` and `fit` pair (the fit at
---threads 1 and 2) and a setting1 n=300 fit over G 1-3, K 1-2 and all
+--threads 1 and 2), `evaluate` of the --threads 1 fit against the
+simulated truth, and a setting1 n=300 fit over G 1-3, K 1-2 and all
 eight patterns.  They run in a temporary directory with relative paths,
 so the input path that `report.json` records is the same on every run.
 The echoed `threads` is dropped from `report.json` before hashing; the
@@ -27,23 +28,22 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-FIT_ARTIFACTS = ("report.json", "assignments.csv", "posteriors.csv",
-                 "elbo_trace.csv", "plot_data.csv")
-
-# (output directory, command line); fit outputs are digested per directory.
+# Command lines, run in order; every file they write is digested.  The
+# --threads 1 fit sits in fits/<replicate>/, the layout `evaluate` reads.
 COMMANDS = (
-    ("sim", ["simulate", "--n", "150", "--d", "4", "--g", "2", "--k", "1",
-             "--model", "UUU", "--seed", "11", "--replicates", "1"]),
-    ("fit_t1", ["fit", "--input", "sim/counts_r000.csv", "--gmin", "1", "--gmax", "2",
-                "--kmin", "1", "--kmax", "1", "--models", "UUU,CCC", "--seed", "0",
-                "--threads", "1"]),
-    ("fit_t2", ["fit", "--input", "sim/counts_r000.csv", "--gmin", "1", "--gmax", "2",
-                "--kmin", "1", "--kmax", "1", "--models", "UUU,CCC", "--seed", "0",
-                "--threads", "2"]),
-    ("setting1", ["simulate", "--preset", "setting1", "--n", "300", "--seed", "1"]),
-    ("fit_setting1", ["fit", "--input", "setting1/counts_r000.csv", "--gmin", "1",
-                      "--gmax", "3", "--kmin", "1", "--kmax", "2", "--models", "all",
-                      "--seed", "1", "--threads", "2"]),
+    ["simulate", "--n", "150", "--d", "4", "--g", "2", "--k", "1",
+     "--model", "UUU", "--seed", "11", "--replicates", "1", "--out-dir", "sim"],
+    ["fit", "--input", "sim/counts_r000.csv", "--gmin", "1", "--gmax", "2",
+     "--kmin", "1", "--kmax", "1", "--models", "UUU,CCC", "--seed", "0",
+     "--threads", "1", "--out-dir", "fits/r000"],
+    ["fit", "--input", "sim/counts_r000.csv", "--gmin", "1", "--gmax", "2",
+     "--kmin", "1", "--kmax", "1", "--models", "UUU,CCC", "--seed", "0",
+     "--threads", "2", "--out-dir", "fit_t2"],
+    ["evaluate", "--fits", "fits", "--truth", "sim", "--out", "metrics.json"],
+    ["simulate", "--preset", "setting1", "--n", "300", "--seed", "1", "--out-dir", "setting1"],
+    ["fit", "--input", "setting1/counts_r000.csv", "--gmin", "1",
+     "--gmax", "3", "--kmin", "1", "--kmax", "2", "--models", "all",
+     "--seed", "1", "--threads", "2", "--out-dir", "fit_setting1"],
 )
 
 
@@ -63,8 +63,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     env = dict(os.environ, PYTHONPATH=str(Path(args.src).resolve()))
     with tempfile.TemporaryDirectory() as tmp:
-        for out_dir, command in COMMANDS:
-            subprocess.run([sys.executable, "-m", "mplnfa", *command, "--out-dir", out_dir],
+        for command in COMMANDS:
+            subprocess.run([sys.executable, "-m", "mplnfa", *command],
                            cwd=tmp, env=env, check=True, stdout=subprocess.DEVNULL)
         for path in sorted(Path(tmp).rglob("*")):
             if path.is_file():

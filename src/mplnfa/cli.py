@@ -7,7 +7,6 @@ whose size is capped by --threads (default: the CPU count) without
 affecting results.
 """
 
-import json
 import sys
 from pathlib import Path
 
@@ -15,11 +14,15 @@ import click
 import numpy as np
 
 from . import __version__
-from .core import ALL_MODELS, ComponentParams, InputError, MixtureModel, ModelId
+from .core import ALL_MODELS, InputError, ModelId
 from .em import FitConfig, grid_search
 from .evaluate import ari, recovery_report
 from .io import (
+    _read_fit_dir,
+    _read_truth,
+    build_params,
     build_report,
+    build_truth,
     read_counts,
     write_assignments,
     write_counts,
@@ -91,10 +94,6 @@ def fit_command(input_path, gmin, gmax, kmin, kmax, models, normalize, factors_p
         n_starts=starts,
         seed=seed,
     )
-    if config.k_range[1] > data.d:
-        raise InputError(f"--kmax {config.k_range[1]} exceeds data dimension {data.d}")
-    if config.g_range[1] > data.n:
-        raise InputError(f"--gmax {config.g_range[1]} exceeds sample count {data.n}")
 
     result = grid_search(data, factors, config, threads=threads)
 
@@ -144,68 +143,12 @@ def simulate_command(preset_name, n, d, g, k, model, replicates, seed, out_dir):
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    from .io import _model_dict
-
-    with open(out / "params.json", "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "preset": preset_name or "",
-                "n": config.n,
-                "seed": config.seed,
-                "replicates": replicates,
-                "model": _model_dict(config.to_model()),
-            },
-            fh,
-            indent=2,
-        )
-        fh.write("\n")
+    write_report(out / "params.json", build_params(preset_name, config, replicates))
     for r in range(replicates):
         data, labels, truth = generate(config, replicate=r)
         write_counts(out / f"counts_r{r:03d}.csv", data)
-        with open(out / f"truth_r{r:03d}.json", "w", encoding="utf-8") as fh:
-            json.dump(
-                {
-                    "replicate": r,
-                    "seed": config.seed,
-                    "labels": [int(v) for v in labels],
-                    "model": _model_dict(truth),
-                },
-                fh,
-                indent=2,
-            )
-            fh.write("\n")
+        write_report(out / f"truth_r{r:03d}.json", build_truth(r, config.seed, labels, truth))
     click.echo(f"wrote {replicates} replicate(s) to {out}")
-
-
-def _load_fit_dir(path):
-    report_path = path / "report.json"
-    assign_path = path / "assignments.csv"
-    if not report_path.exists() or not assign_path.exists():
-        raise InputError(f"{path} lacks report.json/assignments.csv")
-    with open(report_path, encoding="utf-8") as fh:
-        report = json.load(fh)
-    import csv as _csv
-
-    with open(assign_path, newline="", encoding="utf-8") as fh:
-        rows = list(_csv.reader(fh))
-    labels = [int(row[1]) for row in rows[1:]]
-    return report, np.asarray(labels)
-
-
-def _model_from_params(params):
-    comps = tuple(
-        ComponentParams(
-            pi=params["pi"][j],
-            mu=np.asarray(c["mu"]),
-            lam=np.asarray(c["lambda"]),
-            psi=np.asarray(c["psi"]),
-        )
-        for j, c in enumerate(params["components"])
-    )
-    return MixtureModel(
-        g=params["g"], k=params["k"], model_id=ModelId.from_string(params["model"]),
-        components=comps,
-    )
 
 
 @cli.command(name="evaluate")
@@ -236,25 +179,16 @@ def evaluate_command(fits_dir, truth_dir, out_path):
     selection = {}
     matched_fits = []
     matched_truths = []
-    truth_model = None
     for fdir, tfile in zip(fit_dirs, truth_files):
-        report, assignments = _load_fit_dir(fdir)
-        with open(tfile, encoding="utf-8") as fh:
-            truth = json.load(fh)
-        labels = np.asarray(truth["labels"])
+        sel, fit_model, assignments = _read_fit_dir(fdir)
+        labels, truth_model = _read_truth(tfile)
         if len(labels) != len(assignments):
             raise InputError(f"{fdir} and {tfile} disagree on sample count")
         score = ari(labels, assignments)
         aris.append(score)
-        sel = report["selected"]
         key = f"G{sel['g']}K{sel['k']}{sel['model']}"
         selection[key] = selection.get(key, 0) + 1
-        per_replicate.append(
-            {"fit": fdir.name, "truth": tfile.name, "ari": score,
-             "selected": {"g": sel["g"], "k": sel["k"], "model": sel["model"]}}
-        )
-        truth_model = _model_from_params(truth["model"])
-        fit_model = _model_from_params(report["parameters"])
+        per_replicate.append({"fit": fdir.name, "truth": tfile.name, "ari": score, "selected": sel})
         if fit_model.g == truth_model.g and fit_model.d == truth_model.d:
             matched_fits.append(fit_model)
             matched_truths.append(truth_model)
@@ -272,9 +206,7 @@ def evaluate_command(fits_dir, truth_dir, out_path):
         "recovery": recovery,
     }
     out_path = Path(out_path) if out_path else fits_dir / "metrics.json"
-    with open(out_path, "w", encoding="utf-8") as fh:
-        json.dump(metrics, fh, indent=2)
-        fh.write("\n")
+    write_report(out_path, metrics)
     click.echo(
         f"{len(aris)} replicate(s): mean ARI {metrics['ari_mean']:.4f} "
         f"(sd {metrics['ari_sd']:.4f}); metrics in {out_path}"

@@ -242,12 +242,22 @@ class MixtureModel:
     (d, K); if the pattern constrains the loadings, all lam_g are
     identical; if it constrains the error variances, all psi_g are
     identical; if isotropic, each psi_g is a constant vector.
+
+    `from_arrays` builds one from (G,) pi, (G, d) mu, (G, d, K) lam and
+    (G, d) psi, stacked as the properties of those names return them.
     """
 
     g: int
     k: int
     model_id: ModelId
     components: tuple
+
+    @classmethod
+    def from_arrays(cls, g, k, model_id, pi, mu, lam, psi):
+        comps = tuple(
+            ComponentParams(pi=float(pi[j]), mu=mu[j], lam=lam[j], psi=psi[j]) for j in range(g)
+        )
+        return cls(g=g, k=k, model_id=model_id, components=comps)
 
     def __post_init__(self):
         comps = tuple(self.components)

@@ -23,9 +23,7 @@ from scipy.special import gammaln, logsumexp, xlogy
 
 from .core import (
     ALL_MODELS,
-    ComponentParams,
     CountMatrix,
-    EmptyComponentError,
     InputError,
     MixtureModel,
     ModelId,
@@ -316,15 +314,8 @@ def _model_and_state(g, k, model_id, pi, mu, lam, psi, m, s, zhat, f):
     beta = stage2._beta_from(lam, psi)
     p = np.einsum("gkd,ngd->ngk", beta, m - mu[None])
     q = stage2._q_from(lam, psi)
-    model = _build_model(g, k, model_id, pi, mu, lam, psi)
+    model = MixtureModel.from_arrays(g, k, model_id, pi, mu, lam, psi)
     return model, VariationalState(m=m, s=s, p=p, q=q, zhat=zhat, f=f)
-
-
-def _build_model(g, k, model_id, pi, mu, lam, psi):
-    comps = tuple(
-        ComponentParams(pi=float(pi[j]), mu=mu[j], lam=lam[j], psi=psi[j]) for j in range(g)
-    )
-    return MixtureModel(g=g, k=k, model_id=model_id, components=comps)
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +487,7 @@ def _run_em(y, logc, x, labels, g, k, model_id, config):
         (s, caches["trs"], caches["logdet_s"], caches["rate"], caches["expsum"],
          cl, nb) = stage1._update_s_guarded(
             sig_inv, logc, m, s, caches["trs"], caches["logdet_s"], caches["expsum"],
-            lam, psi, sig_logdet,
+            lam, psi, sig_logdet, caches["rate"],
         )
         diag["exp_clamped"] += cl
         diag["s_guard_backtracks"] += nb

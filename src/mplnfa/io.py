@@ -1,9 +1,13 @@
-"""File formats: count CSVs, exposure factors, and run reports.
+"""File formats: every file the command line reads or writes.
 
 Counts travel as UTF-8 CSV with a header row; the first column holds
-sample identifiers and every other cell a nonnegative integer.  Run
-reports are JSON with a stable field order and no volatile fields, so
-reruns with identical inputs produce byte-identical artifacts.
+sample identifiers and every other cell a nonnegative integer.  A fit
+writes `report.json`, `assignments.csv`, `posteriors.csv`,
+`elbo_trace.csv` and `plot_data.csv`; a simulation `counts_r*.csv`,
+`params.json` and `truth_r*.json`; an evaluation `metrics.json`.  The
+JSON artifacts, all written by `write_report`, have a stable field order
+and no volatile fields, so reruns produce byte-identical artifacts.
+`_read_fit_dir` and `_read_truth` read what `evaluate` scores.
 """
 
 import csv
@@ -13,13 +17,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import CountMatrix, InputError, NormalizationFactors
+from .core import CountMatrix, InputError, MixtureModel, ModelId, NormalizationFactors
 
 __all__ = [
     "read_counts",
     "write_counts",
     "read_factors_file",
     "build_report",
+    "build_params",
+    "build_truth",
     "write_report",
     "write_assignments",
     "write_posteriors",
@@ -182,6 +188,16 @@ def _model_dict(model):
     }
 
 
+def _model_from_dict(params):
+    """The MixtureModel that `_model_dict` wrote."""
+    comps = params["components"]
+    return MixtureModel.from_arrays(
+        params["g"], params["k"], ModelId.from_string(params["model"]), params["pi"],
+        np.asarray([c["mu"] for c in comps]), np.asarray([c["lambda"] for c in comps]),
+        np.asarray([c["psi"] for c in comps]),
+    )
+
+
 def build_report(result, data, config, input_path, normalize, threads, version):
     """Assemble the run report for a grid-search result.
 
@@ -245,10 +261,62 @@ def build_report(result, data, config, input_path, normalize, threads, version):
     }
 
 
+def build_params(preset_name, config, replicates):
+    """The `params.json` record of a simulation run."""
+    return {
+        "preset": preset_name or "",
+        "n": config.n,
+        "seed": config.seed,
+        "replicates": replicates,
+        "model": _model_dict(config.to_model()),
+    }
+
+
+def build_truth(replicate, seed, labels, model):
+    """The `truth_r*.json` record of one simulated replicate."""
+    return {
+        "replicate": replicate,
+        "seed": seed,
+        "labels": [int(v) for v in labels],
+        "model": _model_dict(model),
+    }
+
+
 def write_report(path, report):
+    """Write a JSON artifact: two-space indent, trailing newline."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")
+
+
+def _read_json(path, fields):
+    """fields(the JSON in path); a malformed file or field is an InputError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fields(json.load(fh))
+    except (KeyError, IndexError, TypeError, ValueError) as exc:  # decode errors are ValueErrors
+        raise InputError(f"{path}: malformed JSON or field: {exc!r}") from None
+
+
+def _read_fit_dir(path):
+    """(selected {g, k, model}, fitted MixtureModel, hard labels) of a fit directory."""
+    report_path, assign_path = path / "report.json", path / "assignments.csv"
+    selected, model = _read_json(report_path, lambda report: (
+        {key: report["selected"][key] for key in ("g", "k", "model")},
+        _model_from_dict(report["parameters"]),
+    ))
+    labels = []
+    for r, row in enumerate(_read_rows(assign_path)[1:], start=2):
+        try:
+            labels.append(int(row[1]))
+        except (IndexError, ValueError):
+            raise InputError(f"{assign_path}, line {r}: cluster must be an integer") from None
+    return selected, model, np.asarray(labels)
+
+
+def _read_truth(path):
+    """(labels, MixtureModel) of a `truth_r*.json` file."""
+    return _read_json(path, lambda t: (np.asarray(t["labels"]), _model_from_dict(t["model"])))
 
 
 def write_assignments(path, data, fit):

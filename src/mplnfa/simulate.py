@@ -17,10 +17,8 @@ from .core import (
     InputError,
     MixtureModel,
     ModelId,
-    NormalizationFactors,
     NumericalError,
 )
-from .em import _build_model
 
 __all__ = ["SimulationConfig", "generate", "preset", "PRESET_NAMES"]
 
@@ -94,7 +92,8 @@ class SimulationConfig:
 
     def to_model(self):
         """The true mixture as a validated MixtureModel."""
-        return _build_model(self.g, self.k, self.model_id, self.pi, self.mu, self.lam, self.psi)
+        return MixtureModel.from_arrays(self.g, self.k, self.model_id,
+                                        self.pi, self.mu, self.lam, self.psi)
 
 
 def generate(config, replicate=0):

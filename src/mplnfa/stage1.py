@@ -324,7 +324,7 @@ def _halve(phi_at, floor, halvings=MAX_HALVINGS):
     return np.where(ok, eta, 0.0)
 
 
-def _update_s_guarded(sig_inv, logc, m, s, trs, logdet_s, expsum, lam, psi, sig_logdet):
+def _update_s_guarded(sig_inv, logc, m, s, trs, logdet_s, expsum, lam, psi, sig_logdet, rate):
     """Batched covariance refresh with an ascent guard.
 
     One application of the fixed-point map S = (sigma^-1 + diag r)^-1,
@@ -338,20 +338,19 @@ def _update_s_guarded(sig_inv, logc, m, s, trs, logdet_s, expsum, lam, psi, sig_
     M is K x K with eigenvalues >= 1, and no term cancels.  Entries whose
     bound terms decrease are pulled back toward the previous covariance
     by step halving (the map direction is always an ascent direction).
-    Takes and returns the cached bound pieces that depend on S.
+    Takes and returns the cached bound pieces that depend on S; `rate`
+    must be evaluated at (m, diag(s)).
 
     Returns (s_new, trs, logdet_s, rate at (m, s_new), expsum, clamps,
     n_guarded); clamps counts the clamped rates of the full step's S.
     """
     n, g, d = m.shape
     idx = np.arange(d)
-    # counted where they were made (the start or the m step)
-    rate_prev = _rates_batch(logc, m, s[:, :, idx, idx])[0]
-    psi_rate = psi[None] * rate_prev
+    psi_rate = psi[None] * rate
     h = 1.0 / (1.0 + psi_rate)
     v = h[..., None] * lam[None]  # (n, G, d, K)
     lam_t = np.swapaxes(lam, -1, -2)[None]
-    mat_m = np.eye(lam.shape[2]) + lam_t @ ((rate_prev * h)[..., None] * lam[None])
+    mat_m = np.eye(lam.shape[2]) + lam_t @ ((rate * h)[..., None] * lam[None])
     try:
         ell = np.linalg.cholesky(mat_m)
     except np.linalg.LinAlgError as exc:
@@ -389,10 +388,10 @@ def _update_s_guarded(sig_inv, logc, m, s, trs, logdet_s, expsum, lam, psi, sig_
             return -0.5 * tr_c + 0.5 * ld_c - rate_c.sum(-1)
 
         eta = _halve(phi_at, phi_old[bi, bg] - slack[bi, bg])[:, None, None]
+        # s_old_b and step are exactly symmetric, so each candidate is too.
         best = np.where(eta > 0, s_old_b + eta * step, s_old_b)
-        sub = 0.5 * (best + np.swapaxes(best, -1, -2))
-        s_new[bi, bg] = sub
-        trs_new[bi, bg], logdet_new[bi, bg], rate_b = terms(sub)
+        s_new[bi, bg] = best
+        trs_new[bi, bg], logdet_new[bi, bg], rate_b = terms(best)
         rate_new[bi, bg] = rate_b
         expsum_new[bi, bg] = rate_b.sum(-1)
     return s_new, trs_new, logdet_new, rate_new, expsum_new, clamps, n_guarded

@@ -1,6 +1,7 @@
 """Command-line interface: pipeline wiring, exit codes, and rerun stability."""
 
 import json
+import shutil
 
 import pytest
 
@@ -213,6 +214,51 @@ def test_evaluate_validation_exits_one(tmp_path):
     empty = tmp_path / "empty"
     empty.mkdir()
     assert run_cli("evaluate", "--fits", str(empty), "--truth", str(empty)) == 1
+
+
+@pytest.fixture(scope="module")
+def scored_replicate(tmp_path_factory):
+    """A simulated replicate and its fit, laid out for `evaluate`."""
+    root = tmp_path_factory.mktemp("scored")
+    assert simulate_small(root / "sim", replicates=1) == 0
+    assert fit_small(root / "sim" / "counts_r000.csv", root / "fits" / "r000") == 0
+    return root
+
+
+def _bad_cluster_cell(root):
+    path = root / "fits" / "r000" / "assignments.csv"
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    sid, _, post = lines[1].split(",")
+    lines[1] = f"{sid},x,{post}"
+    path.write_text("".join(lines), encoding="utf-8")
+
+
+def _truncate(path):
+    text = path.read_text(encoding="utf-8")
+    path.write_text(text[: len(text) // 2], encoding="utf-8")
+
+
+def _drop_selected(root):
+    path = root / "fits" / "r000" / "report.json"
+    report = json.loads(path.read_text(encoding="utf-8"))
+    del report["selected"]
+    path.write_text(json.dumps(report), encoding="utf-8")
+
+
+@pytest.mark.parametrize("corrupt", [
+    _bad_cluster_cell,
+    lambda root: _truncate(root / "fits" / "r000" / "report.json"),
+    lambda root: _truncate(root / "sim" / "truth_r000.json"),
+    _drop_selected,
+], ids=["cluster_cell", "truncated_report", "truncated_truth", "report_lacks_selected"])
+def test_evaluate_malformed_input_exits_one(tmp_path, capsys, scored_replicate, corrupt):
+    root = tmp_path / "copy"
+    shutil.copytree(scored_replicate, root)
+    assert run_cli("evaluate", "--fits", str(root / "fits"), "--truth", str(root / "sim")) == 0
+    corrupt(root)
+    capsys.readouterr()
+    assert run_cli("evaluate", "--fits", str(root / "fits"), "--truth", str(root / "sim")) == 1
+    assert "error:" in capsys.readouterr().err
 
 
 def test_out_dir_collision_exits_two(tmp_path, capsys):

@@ -7,9 +7,11 @@ import json
 import numpy as np
 import pytest
 
-from mplnfa.core import InputError, ModelId
+from mplnfa.core import ALL_MODELS, InputError, ModelId
 from mplnfa.em import FitConfig, grid_search
 from mplnfa.io import (
+    _model_dict,
+    _model_from_dict,
     build_report,
     read_counts,
     read_factors_file,
@@ -21,6 +23,7 @@ from mplnfa.io import (
     write_report,
     write_traces,
 )
+from mplnfa.simulate import random_config
 
 from conftest import make_counts, unit_factors
 
@@ -270,3 +273,12 @@ def test_write_plot_data(tmp_path, small_grid):
     assert len(rows) == 1 + data.n * data.d
     x00 = np.log1p(data.values[0, 0]) - np.log(factors.c[0])
     assert float(rows[1][3]) == pytest.approx(x00, rel=1e-9)
+
+
+@pytest.mark.parametrize("model_id", ALL_MODELS, ids=str)
+def test_report_model_round_trip_is_bitwise(model_id):
+    model = random_config(n=10, d=5, g=3, k=2, model_id=model_id, seed=4).to_model()
+    back = _model_from_dict(json.loads(json.dumps(_model_dict(model))))
+    assert (back.g, back.k, back.model_id) == (model.g, model.k, model.model_id)
+    for name in ("pi", "mu", "lam", "psi"):
+        assert np.array_equal(getattr(back, name), getattr(model, name))

@@ -301,7 +301,7 @@ def test_guarded_batch_updates_match_public_functions(rng):
 
     s_new, trs, logdet_s, rate, expsum, _, _ = stage1._update_s_guarded(
         sig_inv, logc, m, s, caches["trs"], caches["logdet_s"], caches["expsum"],
-        lam, psi, sig_logdet,
+        lam, psi, sig_logdet, caches["rate"],
     )
     for i in range(n):
         for j in range(g):
@@ -352,8 +352,9 @@ def test_s_step_halving_matches_dense_loop():
     m = -3.0 + rng.uniform(-0.5, 0.5, (n, g, d))
     s = np.broadcast_to(0.01 * np.eye(d), (n, g, d, d)).copy()
     zeros = np.zeros((n, g))
+    rate0 = stage1._rates_batch(logc, m, np.diagonal(s, axis1=-2, axis2=-1))[0]
     s_full = stage1._update_s_guarded(
-        sig_inv, logc, m, s, zeros, np.full((n, g), -np.inf), zeros, lam, psi, sig_logdet,
+        sig_inv, logc, m, s, zeros, np.full((n, g), -np.inf), zeros, lam, psi, sig_logdet, rate0,
     )[0]
 
     etas = 0.5 ** np.arange(stage1.MAX_HALVINGS + 1)  # the full step, then the halvings
@@ -367,7 +368,7 @@ def test_s_step_halving_matches_dense_loop():
     floor[1, 0] = phis[1, 0].max() + 1.0  # nothing passes
     # phi_old = -tr/2 + log|S|/2 - sum(rate), so these caches make it the floor
     s_new, trs, logdet_s, rate, expsum, _, n_guarded = stage1._update_s_guarded(
-        sig_inv, logc, m, s, zeros, 2.0 * floor, zeros, lam, psi, sig_logdet,
+        sig_inv, logc, m, s, zeros, 2.0 * floor, zeros, lam, psi, sig_logdet, rate0,
     )
     assert n_guarded == 3
     idx = np.arange(d)
@@ -401,9 +402,10 @@ def test_s_step_counts_only_the_clamps_at_its_new_s():
     m = np.full((n, g, d), 9.0)
     s = np.broadcast_to(4.0 * np.eye(d), (n, g, d, d)).copy()
     assert stage1._rates_batch(logc, m, np.diagonal(s, axis1=-2, axis2=-1))[1] == n * g * d
+    rate0 = stage1._rates_batch(logc, m, np.diagonal(s, axis1=-2, axis2=-1))[0]
     zeros = np.zeros((n, g))
     s_new, *_, clamps, n_guarded = stage1._update_s_guarded(
-        sig_inv, logc, m, s, zeros, np.full((n, g), -np.inf), zeros, lam, psi, sig_logdet,
+        sig_inv, logc, m, s, zeros, np.full((n, g), -np.inf), zeros, lam, psi, sig_logdet, rate0,
     )
     assert n_guarded == 0
     arg = logc[:, None, None] + m + 0.5 * np.diagonal(s_new, axis1=-2, axis2=-1)
@@ -442,6 +444,7 @@ def test_factor_form_s_step_matches_dense_inverse(seed, k):
     worst = np.full((n, g), -np.inf)
     s_new, _, logdet_s, _, _, _, n_guarded = stage1._update_s_guarded(
         sig_inv, logc, m, s, np.zeros((n, g)), worst, np.zeros((n, g)), lam, psi, sig_logdet,
+        stage1._rates_batch(logc, m, np.diagonal(s, axis1=-2, axis2=-1))[0],
     )
     assert n_guarded == 0
     rate = np.exp(m + 0.05)

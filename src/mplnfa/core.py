@@ -319,12 +319,18 @@ class MixtureModel:
 class VariationalState:
     """Per-observation variational quantities at a fixed point in a fit.
 
+    Each latent log-scale posterior covariance is kept in the factor form
+    S = diag(s_d) + s_w s_w', which the factor-analyzer model gives it
+    exactly, so a state holds n*G*d*(K+1) numbers for S, not n*G*d^2.
+
     Fields
     ------
     m : (n, G, d) array
         Latent log-scale posterior means.
-    s : (n, G, d, d) array
-        Latent log-scale posterior covariances, each SPD.
+    s_d : (n, G, d) array
+        Diagonal part of each posterior covariance, positive.
+    s_w : (n, G, d, K) array
+        Low-rank factor of each posterior covariance.
     p : (n, G, K) array
         Factor posterior means.
     q : (G, K, K) array
@@ -333,30 +339,33 @@ class VariationalState:
         Responsibilities; rows on the simplex.
     f : (n, G) array
         Per-observation per-component objective values.
+
+    The dense covariances are the read-only property `s`, built on each
+    read.
     """
 
     m: np.ndarray
-    s: np.ndarray
+    s_d: np.ndarray
+    s_w: np.ndarray
     p: np.ndarray
     q: np.ndarray
     zhat: np.ndarray
     f: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.m, dtype=np.float64)
-        s = np.asarray(self.s, dtype=np.float64)
-        p = np.asarray(self.p, dtype=np.float64)
-        q = np.asarray(self.q, dtype=np.float64)
-        zhat = np.asarray(self.zhat, dtype=np.float64)
-        f = np.asarray(self.f, dtype=np.float64)
+        arrays = {name: np.asarray(getattr(self, name), dtype=np.float64)
+                  for name in ("m", "s_d", "s_w", "p", "q", "zhat", "f")}
+        m, s_d, s_w, p, q, zhat, f = arrays.values()
         if m.ndim != 3:
             raise InputError("m must have shape (n, G, d)")
         n, g, d = m.shape
-        if s.shape != (n, g, d, d):
-            raise InputError("s must have shape (n, G, d, d)")
         if p.ndim != 3 or p.shape[:2] != (n, g):
             raise InputError("p must have shape (n, G, K)")
         k = p.shape[2]
+        if s_d.shape != (n, g, d):
+            raise InputError("s_d must have shape (n, G, d)")
+        if s_w.shape != (n, g, d, k):
+            raise InputError("s_w must have shape (n, G, d, K)")
         if q.shape != (g, k, k):
             raise InputError("q must have shape (G, K, K)")
         if zhat.shape != (n, g) or f.shape != (n, g):
@@ -365,12 +374,14 @@ class VariationalState:
             raise InputError("responsibilities must lie in [0, 1]")
         if np.any(np.abs(zhat.sum(axis=1) - 1.0) > PROB_TOL):
             raise InputError("responsibility rows must sum to 1")
-        _require_spd_batch(s.reshape(-1, d, d), "s")
-        _require_spd_batch(q, "q")
-        for name, arr in (("m", m), ("s", s), ("p", p), ("q", q), ("f", f)):
+        for name, arr in arrays.items():
             if not np.all(np.isfinite(arr)):
                 raise InputError(f"{name} must be finite")
-        for name, arr in (("m", m), ("s", s), ("p", p), ("q", q), ("zhat", zhat), ("f", f)):
+        # diag(s_d) + s_w s_w' is SPD exactly when every s_d entry is positive
+        if np.any(s_d <= 0):
+            raise InputError("s_d entries must be positive")
+        _require_spd_batch(q, "q")
+        for name, arr in arrays.items():
             object.__setattr__(self, name, _freeze(arr))
 
     @property
@@ -380,6 +391,17 @@ class VariationalState:
     @property
     def g(self):
         return self.m.shape[1]
+
+    @property
+    def s(self):
+        """Dense posterior covariances diag(s_d) + s_w s_w', (n, G, d, d),
+        read-only.  Built on each read, at n*G*d^2*8 bytes."""
+        s = self.s_w @ np.swapaxes(self.s_w, -1, -2)
+        s = 0.5 * (s + np.swapaxes(s, -1, -2))
+        idx = np.arange(self.m.shape[2])
+        s[..., idx, idx] += self.s_d
+        s.flags.writeable = False
+        return s
 
 
 def _require_spd_batch(mats, name):

@@ -283,39 +283,39 @@ def initialize(data, factors, g, k, seed, n_starts=3, model_id=None):
     g, k = int(g), int(k)
     _check_ranges(data, (g, g), (k, k))
     labels = _start_labels(x, g, seed, n_starts)
-    pi, mu, lam, psi, m, s, _, _, _, f = _start(y, logc, x, labels, g, k, model_id)
+    pi, mu, sigma, m, s, _, f = _start(y, logc, x, labels, g, k, model_id)
     zhat = np.zeros((data.n, g))
     zhat[np.arange(data.n), labels] = 1.0
-    return _model_and_state(g, k, model_id, pi, mu, lam, psi, m, s, zhat, f)
+    return _model_and_state(g, k, model_id, pi, mu, sigma, m, s, zhat, f)
 
 
 def _start(y, logc, x, labels, g, k, model_id):
     """Starting point of a fit from k-means labels.
 
-    Returns (pi, mu, lam, psi, m, s, sig_inv, sig_logdet, caches, f): the
-    eigen-initialized parameters, variational means at the transformed
-    data, every S block INIT_S_SCALE * I, and the bound pieces at that
-    point.
+    Returns (pi, mu, sigma, m, s, caches, f): the eigen-initialized
+    parameters with sigma's factors (`_sigma_from`), variational means at
+    the transformed data, every S block INIT_S_SCALE * I (s_d at
+    INIT_S_SCALE, s_w zero), and the bound pieces at that point.
     """
     n, d = y.shape
     pi, mu, lam, psi = _init_params(x, labels, g, k, model_id)
     m = np.repeat(x[:, None, :], g, axis=1)
-    s = np.broadcast_to(INIT_S_SCALE * np.eye(d), (n, g, d, d)).copy()
+    s = (np.full((n, g, d), INIT_S_SCALE), np.zeros((n, g, d, k)))
     logdet_s = np.full((n, g), d * np.log(INIT_S_SCALE))  # log|INIT_S_SCALE * I|
-    sig_inv, sig_logdet = _sigma_from(lam, psi)
-    caches = _make_caches(y, logc, m, s, mu, sig_inv, logdet_s)
-    f = _assemble_f(caches, sig_logdet, d)
-    return pi, mu, lam, psi, m, s, sig_inv, sig_logdet, caches, f
+    sigma = _sigma_from(lam, psi)
+    caches = _make_caches(y, logc, m, s, mu, sigma, logdet_s)
+    f = _assemble_f(caches, sigma[3], d)
+    return pi, mu, sigma, m, s, caches, f
 
 
-def _model_and_state(g, k, model_id, pi, mu, lam, psi, m, s, zhat, f):
+def _model_and_state(g, k, model_id, pi, mu, sigma, m, s, zhat, f):
     """The fitted model and the variational state, with the factor
-    posterior (p, q) at (lam, psi)."""
-    beta = stage2._beta_from(lam, psi)
+    posterior (p, q) at sigma's (lam, psi)."""
+    lam, psi, beta, _ = sigma
     p = np.einsum("gkd,ngd->ngk", beta, m - mu[None])
     q = stage2._q_from(lam, psi)
     model = MixtureModel.from_arrays(g, k, model_id, pi, mu, lam, psi)
-    return model, VariationalState(m=m, s=s, p=p, q=q, zhat=zhat, f=f)
+    return model, VariationalState(m=m, s_d=s[0], s_w=s[1], p=p, q=q, zhat=zhat, f=f)
 
 
 # ---------------------------------------------------------------------------
@@ -353,34 +353,29 @@ def icl(bic_value, zhat):
 
 
 def _sigma_from(lam, psi):
-    """sigma^-1 and log|sigma| of sigma = lam lam' + diag(psi), from the factors.
+    """The factors (lam, psi, beta, log|sigma|) of sigma = lam lam' + diag(psi)
+    that the batched kernels take (see `stage1`).
 
-    sigma^-1 = psi^-1 - psi^-1 lam Q lam' psi^-1 and
-    log|sigma| = sum log psi + log|I + lam' psi^-1 lam|, with the K x K
-    Q = (I + lam' psi^-1 lam)^-1 of `stage2._factor_core`.
+    beta = lam' sigma^-1 and log|sigma| = sum log psi + log|I + lam' psi^-1 lam|
+    come from the K x K core of `stage2._factor_core`, so sigma^-1 x is
+    psi^-1 (x - lam beta x) and no d x d matrix is formed.
     """
-    d = lam.shape[1]
     beta, core = stage2._factor_core(lam, psi)
-    sig_inv = -(lam / psi[..., None]) @ beta
-    sig_inv[:, np.arange(d), np.arange(d)] += 1.0 / psi
-    sig_inv = 0.5 * (sig_inv + sig_inv.transpose(0, 2, 1))
-    return sig_inv, np.log(psi).sum(-1) + np.linalg.slogdet(core)[1]
+    return lam, psi, beta, np.log(psi).sum(-1) + np.linalg.slogdet(core)[1]
 
 
-def _make_caches(y, logc, m, s, mu, sig_inv, logdet_s):
+def _make_caches(y, logc, m, s, mu, sigma, logdet_s):
     """Bound pieces reused across steps within an outer iteration.
 
     logdet_s (n, G) is log|S| of every block, which the caller knows
     without factorizing S.
     """
-    d = m.shape[2]
-    idx = np.arange(d)
-    rate, clamps = stage1._rates_batch(logc, m, s[:, :, idx, idx])
+    rate, clamps = stage1._rates_batch(logc, m, stage1._s_diag(s))
     return {
         "rate": rate,
         "expsum": rate.sum(-1),
-        "quad": stage1._quad_batch(m, mu, sig_inv),
-        "trs": stage1._trace_batch(sig_inv, s),
+        "quad": stage1._quad_batch(m, mu, sigma),
+        "trs": stage1._trace_batch(sigma, s),
         "logdet_s": logdet_s,
         "my": np.einsum("ngd,nd->ng", m, y),
         "pois_const": logc * y.sum(1) - gammaln(y + 1.0).sum(1),
@@ -405,58 +400,71 @@ def _total_elbo(pi, f):
     return float(logsumexp(np.log(pi)[None, :] + f, axis=1).sum())
 
 
-def _sigma_bound_part(sig_inv, sig_logdet, a_bar, n_g):
+def _s_means(zhat, n_g, s):
+    """Responsibility-weighted means over observations of diag S, (G, d),
+    and of S, (G, d, d), built from the factors of S."""
+    s_d, s_w = s
+    n, g, d, k = s_w.shape
+    idx = np.arange(d)
+    # sum_i zhat_ig W_ig W_ig' as one product over the stacked sqrt(zhat) W
+    wz = (np.sqrt(zhat)[..., None, None] * s_w).transpose(1, 2, 0, 3).reshape(g, d, n * k)
+    mean_s = wz @ wz.transpose(0, 2, 1)
+    mean_s[:, idx, idx] += np.einsum("ng,ngd->gd", zhat, s_d)
+    mean_s /= n_g[:, None, None]
+    return mean_s[:, idx, idx], mean_s
+
+
+def _sigma_bound_part(sigma, a_bar, n_g):
     """Sigma-dependent terms of the responsibility-weighted bound.
 
     a_bar holds, per component, the weighted mean of
-    (m - mu)(m - mu)' + S over observations.
+    (m - mu)(m - mu)' + S over observations; tr(sigma^-1 a_bar) is
+    tr(psi^-1 a_bar) - tr(psi^-1 lam beta a_bar).
     """
-    tr = np.einsum("gde,gde->g", sig_inv, a_bar)
+    lam, psi, beta, sig_logdet = sigma
+    tr = ((np.diagonal(a_bar, axis1=1, axis2=2) - (lam * (beta @ a_bar).transpose(0, 2, 1)).sum(-1))
+          / psi).sum(-1)
     return float(-0.5 * np.dot(n_g, tr + sig_logdet))
 
 
-def _guarded_sigma_step(model_id, zhat, s, stats, s_bar, lam, psi, sig_inv, sig_logdet):
+def _guarded_sigma_step(model_id, a_bar, stats, s_bar, sigma):
     """Run the covariance inner loop, accepting only bound-ascending steps.
 
     The inner loop maximizes the factorized objective, which near a fixed
     point can disagree with the traced bound by more than the convergence
     slack.  Candidates are halved toward the previous (lam, psi) until the
     sigma-dependent bound terms stop decreasing; the previous values win if
-    every step fails.  Returns the accepted values, their sigma factors,
-    the inner-loop info dict, and guard counters.
+    every step fails.  Returns (lam, psi, beta, log|sigma|) of the accepted
+    values (`_sigma_from`), the inner-loop info dict, and guard counters.
     """
+    lam, psi = sigma[:2]
     n_g = stats.n_g
-    a_bar = stats.w + np.einsum("ng,ngde->gde", zhat, s) / n_g[:, None, None]
-    j_old = _sigma_bound_part(sig_inv, sig_logdet, a_bar, n_g)
+    j_old = _sigma_bound_part(sigma, a_bar, n_g)
     slack = 1e-9 * max(1.0, abs(j_old))
 
     lam_new, psi_new, info = stage2.run_inner_loop(model_id, stats, s_bar, lam, psi)
-    new_inv, new_logdet = _sigma_from(lam_new, psi_new)
-    if _sigma_bound_part(new_inv, new_logdet, a_bar, n_g) >= j_old - slack:
-        return lam_new, psi_new, new_inv, new_logdet, info, 0, False
+    new = _sigma_from(lam_new, psi_new)
+    if _sigma_bound_part(new, a_bar, n_g) >= j_old - slack:
+        return *new, info, 0, False
 
     def candidate(eta):
         # convex combinations keep tied rows tied and psi above its floor
-        return lam + eta * (lam_new - lam), psi + eta * (psi_new - psi)
+        return _sigma_from(lam + eta * (lam_new - lam), psi + eta * (psi_new - psi))
 
     def bound_at(eta):
-        return _sigma_bound_part(*_sigma_from(*candidate(eta)), a_bar, n_g)
+        return _sigma_bound_part(candidate(eta), a_bar, n_g)
 
     # the full step failed; the halvings make up the rest of the budget
     eta = float(stage1._halve(bound_at, j_old - slack, stage1.MAX_HALVINGS - 1))
     if eta == 0.0:
-        return lam, psi, sig_inv, sig_logdet, info, stage1.MAX_HALVINGS, True
-    lam_c, psi_c = candidate(eta)
-    return lam_c, psi_c, *_sigma_from(lam_c, psi_c), info, -int(np.log2(eta)), False
+        return *sigma, info, stage1.MAX_HALVINGS, True
+    return *candidate(eta), info, -int(np.log2(eta)), False
 
 
 def _run_em(y, logc, x, labels, g, k, model_id, config):
     """Alternate the two stages from a label-based start to convergence."""
     n, d = y.shape
-    idx = np.arange(d)
-    pi, mu, lam, psi, m, s, sig_inv, sig_logdet, caches, f = _start(
-        y, logc, x, labels, g, k, model_id
-    )
+    pi, mu, sigma, m, s, caches, f = _start(y, logc, x, labels, g, k, model_id)
     trace = [_total_elbo(pi, f)]
 
     diag = {
@@ -486,14 +494,14 @@ def _run_em(y, logc, x, labels, g, k, model_id, config):
 
         (s, caches["trs"], caches["logdet_s"], caches["rate"], caches["expsum"],
          cl, nb) = stage1._update_s_guarded(
-            sig_inv, logc, m, s, caches["trs"], caches["logdet_s"], caches["expsum"],
-            lam, psi, sig_logdet, caches["rate"],
+            sigma, logc, m, s, caches["trs"], caches["logdet_s"], caches["expsum"],
+            caches["rate"],
         )
         diag["exp_clamped"] += cl
         diag["s_guard_backtracks"] += nb
         (m, caches["rate"], caches["expsum"], caches["quad"], caches["my"],
          cl, nb) = stage1._update_m_guarded(
-            y, logc, sig_inv, mu, m, s, caches["rate"], caches["quad"]
+            y, logc, sigma, mu, m, s, caches["rate"], caches["quad"]
         )
         diag["exp_clamped"] += cl
         diag["m_guard_backtracks"] += nb
@@ -501,9 +509,9 @@ def _run_em(y, logc, x, labels, g, k, model_id, config):
         pi, mu = stage1.update_pi_mu(zhat, m)
 
         stats = stage2.make_stage2_stats(zhat, m, mu)
-        s_bar = np.einsum("ng,ngd->gd", zhat, s[:, :, idx, idx]) / n_g[:, None]
-        lam, psi, sig_inv, sig_logdet, info, nb, rej = _guarded_sigma_step(
-            model_id, zhat, s, stats, s_bar, lam, psi, sig_inv, sig_logdet
+        s_bar, mean_s = _s_means(zhat, n_g, s)
+        *sigma, info, nb, rej = _guarded_sigma_step(
+            model_id, stats.w + mean_s, stats, s_bar, sigma
         )
         diag["psi_floored"] += info["psi_floored"]
         diag["stage2_sweeps_last"] = info["sweeps"]
@@ -512,9 +520,9 @@ def _run_em(y, logc, x, labels, g, k, model_id, config):
         if not info["converged"]:
             diag["stage2_nonconverged_iters"] += 1
 
-        caches["quad"] = stage1._quad_batch(m, mu, sig_inv)
-        caches["trs"] = stage1._trace_batch(sig_inv, s)
-        f = _assemble_f(caches, sig_logdet, d)
+        caches["quad"] = stage1._quad_batch(m, mu, sigma)
+        caches["trs"] = stage1._trace_batch(sigma, s)
+        f = _assemble_f(caches, sigma[3], d)
         trace.append(_total_elbo(pi, f))
         if abs(trace[-1] - trace[-2]) <= config.tol_outer * abs(trace[-2]):
             converged = True
@@ -526,7 +534,7 @@ def _run_em(y, logc, x, labels, g, k, model_id, config):
             diag["degenerate"] = True
             diag["empty_component_iteration"] = n_iter
 
-    model, state = _model_and_state(g, k, model_id, pi, mu, lam, psi, m, s, zhat, f)
+    model, state = _model_and_state(g, k, model_id, pi, mu, sigma, m, s, zhat, f)
 
     loglik = trace[-1]
     rho = total_free_params(model_id, d, k, g)

@@ -264,26 +264,39 @@ def update_pi_mu(zhat, m):
 # batched kernels (driver internals)
 # ---------------------------------------------------------------------------
 #
-# Shapes: y (n, d), logc (n,), m (n, G, d), s (n, G, d, d), mu (G, d),
-# sig_inv (G, d, d), sig_logdet (G,), lam (G, d, K), psi (G, d).  All
-# kernels are pure functions; em._run_em owns caching of repeated terms
-# and builds sig_inv and sig_logdet from the factors (em._sigma_from).
+# Shapes: y (n, d), logc (n,), m (n, G, d), mu (G, d).  A component
+# covariance travels as its factors sigma = (lam, psi, beta, logdet):
+# lam (G, d, K), psi (G, d), beta = lam' sigma^-1 (G, K, d) and
+# log|sigma| (G,), from em._sigma_from.  A variational covariance travels
+# as s = (s_d, s_w), S = diag(s_d) + s_w s_w' with s_d (n, G, d) and
+# s_w (n, G, d, K).  Every kernel costs O(d K^2) per pair and forms no
+# d x d matrix.  The factors broadcast against any leading batch shape,
+# so the guards run the same kernels on the pairs they pull back, with
+# sigma taken at those pairs' components (`_take`).  All kernels are pure
+# functions; em._run_em owns caching of repeated terms.
 
 
-def _sigma_factors(sigmas):
-    """Inverses and log-determinants of a stack of dense SPD matrices.
+def _take(sigma, comps):
+    """sigma's factors at the components `comps`, one per pair."""
+    return tuple(a[comps] for a in sigma)
 
-    Dense reference for the batched bound kernels; the fitting loop
-    never calls it.
-    """
-    try:
-        ell = np.linalg.cholesky(sigmas)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"component covariance not positive definite: {exc}") from None
-    ell_inv = np.linalg.inv(ell)
-    sig_inv = np.einsum("...ji,...jk->...ik", ell_inv, ell_inv)
-    sig_logdet = 2.0 * np.log(np.diagonal(ell, axis1=-2, axis2=-1)).sum(-1)
-    return sig_inv, sig_logdet
+
+def _s_diag(s):
+    """diag S = s_d + row sums of s_w^2, (..., d)."""
+    s_d, s_w = s
+    return s_d + np.einsum("...k,...k->...", s_w, s_w)
+
+
+def _s_apply(s, x):
+    """S x = s_d x + s_w (s_w' x) for every pair, (..., d)."""
+    s_d, s_w = s
+    return s_d * x + (s_w @ (np.swapaxes(s_w, -1, -2) @ x[..., None]))[..., 0]
+
+
+def _sig_inv_apply(x, sigma):
+    """sigma^-1 x = psi^-1 (x - lam beta x) for every pair, (..., d)."""
+    lam, psi, beta, _ = sigma
+    return (x - (lam @ (beta @ x[..., None]))[..., 0]) / psi
 
 
 def _rates_batch(logc, m, s_diag):
@@ -293,15 +306,49 @@ def _rates_batch(logc, m, s_diag):
     return np.exp(np.clip(arg, -EXP_CLAMP, EXP_CLAMP)), n_clamped
 
 
-def _quad_batch(m, mu, sig_inv):
-    """(m - mu)' sigma^-1 (m - mu) for every pair, (n, G)."""
-    v = np.swapaxes(m - mu[None], 0, 1)  # (G, n, d)
-    return ((v @ sig_inv) * v).sum(-1).T
+def _quad_batch(m, mu, sigma):
+    """(m - mu)' sigma^-1 (m - mu) for every pair, (...)."""
+    v = m - mu
+    return (v * _sig_inv_apply(v, sigma)).sum(-1)
 
 
-def _trace_batch(sig_inv, s):
-    """tr(sigma^-1 S) for every pair, (n, G)."""
-    return np.einsum("gde,ngde->ng", sig_inv, s)
+def _trace_batch(sigma, s):
+    """tr(sigma^-1 S) for every pair, (...).
+
+    The sum of s_d against diag(sigma^-1) = (1 - diag(lam beta)) / psi,
+    plus the sum of s_w against sigma^-1 s_w.
+    """
+    lam, psi, beta, _ = sigma
+    s_d, s_w = s
+    inv_diag = (1.0 - (lam * np.swapaxes(beta, -1, -2)).sum(-1)) / psi
+    inv_w = (s_w - lam @ (beta @ s_w)) / psi[..., None]
+    return (s_d * inv_diag).sum(-1) + (s_w * inv_w).sum((-2, -1))
+
+
+def _s_of(rho, sigma):
+    """S(rho) = (sigma^-1 + diag rho)^-1 in factor form, and log|S|.
+
+    By the Woodbury identity and the matrix-determinant lemma,
+
+        S = diag(psi h) + V M^-1 V',  h = 1 / (1 + psi rho),  V = diag(h) lam,
+        M = I + lam' diag(rho h) lam,
+        log|S| = log|sigma| - sum log(1 + psi rho) - log|M|,
+
+    so s_d = psi h and s_w = V L^-T, with L the Cholesky factor of the
+    K x K M.  M has eigenvalues >= 1, and no term cancels.  rho must
+    be positive.  Returns ((s_d, s_w), log|S|).
+    """
+    lam, psi, _, sig_logdet = sigma
+    psi_rho = psi * rho
+    h = 1.0 / (1.0 + psi_rho)
+    mat_m = np.eye(lam.shape[-1]) + np.swapaxes(lam, -1, -2) @ ((rho * h)[..., None] * lam)
+    try:
+        ell = np.linalg.cholesky(mat_m)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"covariance refresh failed: {exc}") from None
+    s_w = (h[..., None] * lam) @ np.swapaxes(np.linalg.inv(ell), -1, -2)
+    logdet_m = 2.0 * np.log(np.diagonal(ell, axis1=-2, axis2=-1)).sum(-1)
+    return (psi * h, s_w), sig_logdet - np.log1p(psi_rho).sum(-1) - logdet_m
 
 
 def _halve(phi_at, floor, halvings=MAX_HALVINGS):
@@ -324,46 +371,23 @@ def _halve(phi_at, floor, halvings=MAX_HALVINGS):
     return np.where(ok, eta, 0.0)
 
 
-def _update_s_guarded(sig_inv, logc, m, s, trs, logdet_s, expsum, lam, psi, sig_logdet, rate):
+def _update_s_guarded(sigma, logc, m, s, trs, logdet_s, expsum, rate):
     """Batched covariance refresh with an ascent guard.
 
-    One application of the fixed-point map S = (sigma^-1 + diag r)^-1,
-    built from the factors sigma = lam lam' + diag(psi) by the Woodbury
-    identity and the matrix-determinant lemma, without a d x d inverse:
-
-        S = diag(psi h) + V M^-1 V',  h = 1 / (1 + psi r),  V = diag(h) lam,
-        M = I + lam' diag(r h) lam,
-        log|S| = log|sigma| - sum log(1 + psi r) - log|M|.
-
-    M is K x K with eigenvalues >= 1, and no term cancels.  Entries whose
-    bound terms decrease are pulled back toward the previous covariance
-    by step halving (the map direction is always an ascent direction).
-    Takes and returns the cached bound pieces that depend on S; `rate`
-    must be evaluated at (m, diag(s)).
+    One application of the fixed-point map S = (sigma^-1 + diag r)^-1 at
+    the rates r, built in factor form by `_s_of`.  A pair whose bound
+    terms -tr(sigma^-1 S)/2 + log|S|/2 - sum(rates) decrease tries
+    S(r / eta) for eta = 1/2, 1/4, ... and keeps its previous S, with
+    its cached pieces, if no candidate does better.  Takes and returns
+    the cached bound pieces that depend on S; `rate` must be evaluated
+    at (m, diag(s)).
 
     Returns (s_new, trs, logdet_s, rate at (m, s_new), expsum, clamps,
     n_guarded); clamps counts the clamped rates of the full step's S.
     """
-    n, g, d = m.shape
-    idx = np.arange(d)
-    psi_rate = psi[None] * rate
-    h = 1.0 / (1.0 + psi_rate)
-    v = h[..., None] * lam[None]  # (n, G, d, K)
-    lam_t = np.swapaxes(lam, -1, -2)[None]
-    mat_m = np.eye(lam.shape[2]) + lam_t @ ((rate * h)[..., None] * lam[None])
-    try:
-        ell = np.linalg.cholesky(mat_m)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"covariance refresh failed: {exc}") from None
-    vl = v @ np.swapaxes(np.linalg.inv(ell), -1, -2)  # V L^-T, so V M^-1 V' = vl vl'
-    s_new = vl @ np.swapaxes(vl, -1, -2)
-    s_new[:, :, idx, idx] += psi[None] * h
-    s_new = 0.5 * (s_new + np.swapaxes(s_new, -1, -2))
-    logdet_m = 2.0 * np.log(np.diagonal(ell, axis1=-2, axis2=-1)).sum(-1)
-    logdet_new = sig_logdet[None] - np.log1p(psi_rate).sum(-1) - logdet_m
-
-    trs_new = _trace_batch(sig_inv, s_new)
-    rate_new, clamps = _rates_batch(logc, m, s_new[:, :, idx, idx])
+    s_new, logdet_new = _s_of(rate, sigma)
+    trs_new = _trace_batch(sigma, s_new)
+    rate_new, clamps = _rates_batch(logc, m, _s_diag(s_new))
     expsum_new = rate_new.sum(-1)
 
     phi_old = -0.5 * trs + 0.5 * logdet_s - expsum
@@ -372,46 +396,45 @@ def _update_s_guarded(sig_inv, logc, m, s, trs, logdet_s, expsum, lam, psi, sig_
     bad = phi_new < phi_old - slack
     n_guarded = int(np.count_nonzero(bad))
     if n_guarded:
-        # Convex combinations of SPD matrices stay SPD, so halving the
-        # step keeps every candidate factorizable.
         bi, bg = np.nonzero(bad)
-        s_old_b = s[bi, bg]
-        step = s_new[bi, bg] - s_old_b
 
-        def terms(cand):
-            """(tr(sigma^-1 S), log|S|, rates) of candidate blocks."""
-            return (np.einsum("bde,bed->b", sig_inv[bg], cand), np.linalg.slogdet(cand)[1],
-                    _clamped_rate(logc[bi][:, None], m[bi, bg], cand[:, idx, idx]))
+        def terms(eta, i, j):
+            """(S, tr(sigma^-1 S), log|S|, rates) at S(r / eta) of pairs (i, j)."""
+            sig_c = _take(sigma, j)
+            s_c, logdet_c = _s_of(rate[i, j] / eta[:, None], sig_c)
+            rate_c = _clamped_rate(logc[i][:, None], m[i, j], _s_diag(s_c))
+            return s_c, _trace_batch(sig_c, s_c), logdet_c, rate_c
 
         def phi_at(eta):
-            tr_c, ld_c, rate_c = terms(s_old_b + eta[:, None, None] * step)
-            return -0.5 * tr_c + 0.5 * ld_c - rate_c.sum(-1)
+            _, tr_c, logdet_c, rate_c = terms(eta, bi, bg)
+            return -0.5 * tr_c + 0.5 * logdet_c - rate_c.sum(-1)
 
-        eta = _halve(phi_at, phi_old[bi, bg] - slack[bi, bg])[:, None, None]
-        # s_old_b and step are exactly symmetric, so each candidate is too.
-        best = np.where(eta > 0, s_old_b + eta * step, s_old_b)
-        s_new[bi, bg] = best
-        trs_new[bi, bg], logdet_new[bi, bg], rate_b = terms(best)
-        rate_new[bi, bg] = rate_b
-        expsum_new[bi, bg] = rate_b.sum(-1)
+        eta = _halve(phi_at, phi_old[bi, bg] - slack[bi, bg])
+        ok = eta > 0
+        i, j = bi[ok], bg[ok]
+        (s_new[0][i, j], s_new[1][i, j]), trs_new[i, j], logdet_new[i, j], rate_new[i, j] = \
+            terms(eta[ok], i, j)
+        expsum_new[i, j] = rate_new[i, j].sum(-1)
+        i, j = bi[~ok], bg[~ok]
+        for new, old in zip((*s_new, trs_new, logdet_new, rate_new, expsum_new),
+                            (*s, trs, logdet_s, rate, expsum)):
+            new[i, j] = old[i, j]
     return s_new, trs_new, logdet_new, rate_new, expsum_new, clamps, n_guarded
 
 
-def _update_m_guarded(y, logc, sig_inv, mu, m, s, rate, quad):
+def _update_m_guarded(y, logc, sigma, mu, m, s, rate, quad):
     """Batched guarded mean refresh.
 
-    `rate` must be evaluated at (m, diag(s)); `quad` at (m, mu).
-    Returns (m_new, rate, expsum, quad, my, clamps, n_guarded) with the
-    caches refreshed at m_new.
+    Takes the Newton-style step S grad (`_s_apply`).  `rate` must be evaluated at (m, diag(s)); `quad`
+    at (m, mu).  Returns (m_new, rate, expsum, quad, my, clamps,
+    n_guarded) with the caches refreshed at m_new.
     """
-    n, g, d = m.shape
-    idx = np.arange(d)
-    s_diag = s[:, :, idx, idx]
-    grad = y[:, None, :] - rate - np.einsum("gde,nge->ngd", sig_inv, m - mu[None])
+    s_diag = _s_diag(s)
+    grad = y[:, None, :] - rate - _sig_inv_apply(m - mu, sigma)
     if not np.all(np.isfinite(grad)):
         raise NumericalError("non-finite gradient in batched mean update")
     move = np.max(np.abs(grad), axis=-1) >= GRAD_TOL
-    step = np.einsum("ngde,nge->ngd", s, grad)
+    step = _s_apply(s, grad)
     step[~move] = 0.0
 
     my0 = np.einsum("ngd,nd->ng", m, y)
@@ -419,7 +442,7 @@ def _update_m_guarded(y, logc, sig_inv, mu, m, s, rate, quad):
 
     m_new = m + step
     rate_new, clamps = _rates_batch(logc, m_new, s_diag)
-    quad_new = _quad_batch(m_new, mu, sig_inv)
+    quad_new = _quad_batch(m_new, mu, sigma)
     my_new = np.einsum("ngd,nd->ng", m_new, y)
     phi1 = my_new - rate_new.sum(-1) - 0.5 * quad_new
 
@@ -430,12 +453,12 @@ def _update_m_guarded(y, logc, sig_inv, mu, m, s, rate, quad):
         bi, bg = np.nonzero(bad)
         m_old_b = m[bi, bg]
         step_b = step[bi, bg]
+        sig_b = _take(sigma, bg)
 
         def terms(cand):
             """(rates, (m - mu)' sigma^-1 (m - mu), m'y) of candidate means."""
-            v = cand - mu[bg]
             return (_clamped_rate(logc[bi][:, None], cand, s_diag[bi, bg]),
-                    np.einsum("bd,bde,be->b", v, sig_inv[bg], v),
+                    _quad_batch(cand, mu[bg], sig_b),
                     np.einsum("bd,bd->b", cand, y[bi]))
 
         def phi_at(eta):

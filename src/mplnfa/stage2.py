@@ -209,11 +209,6 @@ def _factor_core(lam, psi):
         raise NumericalError(f"loading regression solve failed: {exc}") from None
 
 
-def _beta_from(lam, psi):
-    """beta_g = lam_g' sigma_g^-1, batched (G, K, d)."""
-    return _factor_core(lam, psi)[0]
-
-
 def _q_from(lam, psi):
     """Factor-score posterior covariances core^-1, batched (G, K, K)."""
     q = np.linalg.inv(_factor_core(lam, psi)[1])

@@ -129,3 +129,17 @@ def random_loadings_psi(rng, d, k):
     lam = rng.uniform(-1.0, 1.0, size=(d, k))
     psi = rng.uniform(0.25, 1.0, size=d)
     return lam, psi
+
+
+def dense_s(s_d, s_w):
+    """Dense covariances diag(s_d) + s_w s_w' of a factor-form stack."""
+    return s_w @ np.swapaxes(s_w, -1, -2) + s_d[..., None] * np.eye(s_d.shape[-1])
+
+
+def factor_form(a):
+    """A factor form (diag, factor) of a stack of SPD matrices: half the
+    smallest eigenvalue on the diagonal, and the Cholesky factor of the
+    rest as a full-width factor, so diag(diag) + factor factor' = a."""
+    lo = 0.5 * np.linalg.eigvalsh(a)[..., :1]
+    d = a.shape[-1]
+    return np.repeat(lo, d, axis=-1), np.linalg.cholesky(a - lo[..., None] * np.eye(d))

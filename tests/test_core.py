@@ -219,21 +219,43 @@ def test_mixture_model_sigma_accessors():
 def test_variational_state_validation():
     n, g, d, k = 4, 2, 3, 1
     m = np.zeros((n, g, d))
-    s = np.broadcast_to(np.eye(d), (n, g, d, d)).copy()
+    s_d, s_w = np.ones((n, g, d)), np.zeros((n, g, d, k))
     p = np.zeros((n, g, k))
     q = np.broadcast_to(np.eye(k), (g, k, k)).copy()
     zhat = np.full((n, g), 0.5)
     f = np.zeros((n, g))
-    state = VariationalState(m=m, s=s, p=p, q=q, zhat=zhat, f=f)
+    state = VariationalState(m=m, s_d=s_d, s_w=s_w, p=p, q=q, zhat=zhat, f=f)
     assert state.m.shape == (n, g, d)
     bad_z = zhat.copy()
     bad_z[0, 0] = 0.9
     with pytest.raises(InputError):
-        VariationalState(m=m, s=s, p=p, q=q, zhat=bad_z, f=f)
-    bad_s = s.copy()
-    bad_s[0, 0] = -np.eye(d)
+        VariationalState(m=m, s_d=s_d, s_w=s_w, p=p, q=q, zhat=bad_z, f=f)
+    bad_s = s_d.copy()
+    bad_s[0, 0] = -1.0
     with pytest.raises(InputError):
-        VariationalState(m=m, s=bad_s, p=p, q=q, zhat=zhat, f=f)
+        VariationalState(m=m, s_d=bad_s, s_w=s_w, p=p, q=q, zhat=zhat, f=f)
+
+
+def test_variational_state_dense_s_is_a_read_only_view(rng):
+    # S = diag(s_d) + s_w s_w' is built when `s` is read, never stored
+    n, g, d, k = 3, 2, 4, 2
+    s_d, s_w = rng.uniform(0.1, 1.0, (n, g, d)), rng.normal(0.0, 1.0, (n, g, d, k))
+    state = VariationalState(m=np.zeros((n, g, d)), s_d=s_d, s_w=s_w, p=np.zeros((n, g, k)),
+                             q=np.broadcast_to(np.eye(k), (g, k, k)).copy(),
+                             zhat=np.full((n, g), 0.5), f=np.zeros((n, g)))
+    assert "s" not in vars(state)
+    for i in range(n):
+        for j in range(g):
+            ref = np.diag(s_d[i, j]) + s_w[i, j] @ s_w[i, j].T
+            np.testing.assert_allclose(state.s[i, j], ref, rtol=1e-15, atol=1e-15)
+    np.testing.assert_array_equal(state.s, np.swapaxes(state.s, -1, -2))
+    with pytest.raises(ValueError):
+        state.s[0, 0, 0, 0] = 1.0
+    bad_w = s_w.copy()
+    bad_w[0, 0, 0, 0] = np.nan
+    with pytest.raises(InputError):
+        VariationalState(m=state.m, s_d=s_d, s_w=bad_w, p=state.p, q=state.q, zhat=state.zhat,
+                         f=state.f)
 
 
 def test_frozen_containers_are_read_only():

@@ -1,19 +1,21 @@
 """Scores, initialization, the outer fitting loop, and the model grid."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mplnfa import em, stage1, stage2
+from mplnfa import em, simulate, stage1, stage2
 from mplnfa.core import ALL_MODELS, InputError, ModelId, NumericalError
 from mplnfa.em import FitConfig, bic, fit_single, grid_search, icl, initialize
 from mplnfa.evaluate import ari
 from mplnfa.io import NormalizationFactors
 
 from conftest import make_counts, unit_factors
+from oracles import dense_s
 
 
 # ---------------------------------------------------------------------------
@@ -155,9 +157,10 @@ def test_start_log_det_s_is_the_dense_log_det(rng, d):
     n, g = 30, 2
     y = rng.poisson(5.0, (n, d)).astype(np.float64)
     labels = np.arange(n) % g
-    *_, s, _, _, caches, _ = em._start(y, np.zeros(n), np.log1p(y), labels, g, 1,
-                                       ModelId.from_string("UUU"))
-    np.testing.assert_allclose(caches["logdet_s"], np.linalg.slogdet(s)[1], rtol=1e-12, atol=0)
+    *_, s, caches, _ = em._start(y, np.zeros(n), np.log1p(y), labels, g, 1,
+                                 ModelId.from_string("UUU"))
+    np.testing.assert_allclose(caches["logdet_s"], np.linalg.slogdet(dense_s(*s))[1],
+                               rtol=1e-12, atol=0)
 
 
 def _sigma_guard_case(c):
@@ -170,7 +173,8 @@ def _sigma_guard_case(c):
     and inner the inner loop's: at c = 1/3 the bound peaks about a
     quarter of the way along the step, at c = -1/2 it falls along all
     of it.  Returns the guard's arguments, a_bar, the inner loop's
-    result, and the bound at eta = 1, 1/2, ..., 1/1024 along the step.
+    result, and the bound at eta = 1, 1/2, ..., 1/1024 along the step;
+    the arguments end with the start's (lam, psi).
     """
     rng = np.random.default_rng(0)
     n, d, k = 40, 4, 1
@@ -193,11 +197,11 @@ def _sigma_guard_case(c):
     assert psi.min() > 0
     lam_new, psi_new, _ = stage2.run_inner_loop(model_id, stats, s_bar, lam, psi)
     bounds = np.array([
-        em._sigma_bound_part(*em._sigma_from(lam + eta * (lam_new - lam),
-                                             psi + eta * (psi_new - psi)), a_bar, stats.n_g)
+        em._sigma_bound_part(em._sigma_from(lam + eta * (lam_new - lam),
+                                            psi + eta * (psi_new - psi)), a_bar, stats.n_g)
         for eta in 0.5 ** np.arange(stage1.MAX_HALVINGS + 1)
     ])
-    return (model_id, zhat, s, stats, s_bar, lam, psi), a_bar, (lam_new, psi_new), bounds
+    return (model_id, a_bar, stats, s_bar, lam, psi), a_bar, (lam_new, psi_new), bounds
 
 
 def test_sigma_guard_backtracks_or_rejects():
@@ -215,15 +219,15 @@ def test_sigma_guard_backtracks_or_rejects():
         (fall, 0.5 * (fall[3][-3] + fall[3][-2]), 9),  # the last halving
         (fall, 0.5 * (fall[3][-2] + fall[3][-1]), None),  # only an 11th candidate would pass
     ):
-        stats, lam, psi = args[3], args[5], args[6]
-        sig_inv, sig_logdet = em._sigma_from(lam, psi)
-        j_true = em._sigma_bound_part(sig_inv, sig_logdet, a_bar, stats.n_g)
+        stats, lam, psi = args[2], args[4], args[5]
+        _, _, beta, sig_logdet = em._sigma_from(lam, psi)
+        j_true = em._sigma_bound_part((lam, psi, beta, sig_logdet), a_bar, stats.n_g)
         # the previous bound is -1/2 sum n_g (tr + log|sigma|), so lowering
         # log|sigma| raises it to the floor
         logdet = sig_logdet - 2.0 * (floor - j_true) / stats.n_g.sum()
-        lam_out, psi_out, inv_out, logdet_out, info, backtracks, rejected = \
-            em._guarded_sigma_step(*args, sig_inv, logdet)
-        j_old = em._sigma_bound_part(sig_inv, logdet, a_bar, stats.n_g)
+        lam_out, psi_out, beta_out, logdet_out, info, backtracks, rejected = \
+            em._guarded_sigma_step(*args[:4], (lam, psi, beta, logdet))
+        j_old = em._sigma_bound_part((lam, psi, beta, logdet), a_bar, stats.n_g)
         tried = bounds[:stage1.MAX_HALVINGS]
         passed = np.nonzero(tried >= j_old - 1e-9 * max(1.0, abs(j_old)))[0]
         assert (passed[0] if len(passed) else None) == first
@@ -232,12 +236,12 @@ def test_sigma_guard_backtracks_or_rejects():
             assert backtracks == b and not rejected
             np.testing.assert_array_equal(lam_out, lam + 2.0 ** -b * (lam_new - lam))
             np.testing.assert_array_equal(psi_out, psi + 2.0 ** -b * (psi_new - psi))
-            ref_inv, ref_logdet = em._sigma_from(lam_out, psi_out)
-            np.testing.assert_array_equal(inv_out, ref_inv)
+            _, _, ref_beta, ref_logdet = em._sigma_from(lam_out, psi_out)
+            np.testing.assert_array_equal(beta_out, ref_beta)
             np.testing.assert_array_equal(logdet_out, ref_logdet)
         else:
             assert rejected and backtracks == stage1.MAX_HALVINGS
-            for got, given in ((lam_out, lam), (psi_out, psi), (inv_out, sig_inv),
+            for got, given in ((lam_out, lam), (psi_out, psi), (beta_out, beta),
                                (logdet_out, logdet)):
                 np.testing.assert_array_equal(got, given)
         assert info["converged"]
@@ -296,6 +300,23 @@ def test_fit_single_is_deterministic(rng):
         assert np.array_equal(ca.mu, cb.mu)
         assert np.array_equal(ca.lam, cb.lam)
         assert np.array_equal(ca.psi, cb.psi)
+
+
+def test_fit_single_allocates_no_dense_s():
+    # Every S block is held as diag(s_d) + s_w s_w', so a fit at d = 300
+    # never allocates an (n, G, d, d) array: one would be 57.6 MB here.
+    n, d, g, k = 40, 300, 2, 2
+    data = simulate.generate(simulate.random_config(n=n, d=d, g=g, k=k, model_id="UUU", seed=0),
+                             0)[0]
+    tracemalloc.start()
+    try:
+        fit = fit_single(data, unit_factors(n), g, k, ModelId.from_string("UUU"),
+                         _quick_config(max_outer=3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fit.n_iter == 3
+    assert peak < n * g * d * d * 8 / 3
 
 
 def test_fit_single_recovers_separated_clusters(rng):

@@ -13,10 +13,9 @@ from mplnfa.stage1 import (
     update_s,
 )
 import mplnfa.stage1 as stage1
-import mplnfa.stage2 as stage2
 import mplnfa.em as em
 
-from oracles import fd_grad, random_spd
+from oracles import dense_s, factor_form, fd_grad, random_spd
 
 
 def random_instance(rng, d, y_scale=3.0):
@@ -266,10 +265,11 @@ def test_batched_bound_matches_scalar_loop(rng):
     s = np.stack([[random_spd(rng, d, scale=0.05) for _ in range(g)] for _ in range(n)])
     mu = rng.normal(1.0, 0.5, (g, d))
     sig = np.stack([random_spd(rng, d) for _ in range(g)])
-    sig_inv, sig_logdet = stage1._sigma_factors(sig)
-    caches = em._make_caches(y.astype(np.float64), logc, m, s, mu, sig_inv,
+    psi, lam = factor_form(sig)
+    sigma = em._sigma_from(lam, psi)
+    caches = em._make_caches(y.astype(np.float64), logc, m, factor_form(s), mu, sigma,
                              np.linalg.slogdet(s)[1])
-    f = em._assemble_f(caches, sig_logdet, d)
+    f = em._assemble_f(caches, sigma[3], d)
     for i in range(n):
         for j in range(g):
             ref = elbo_stage1(y[i], np.exp(logc[i]), m[i, j], s[i, j], mu[j], sig[j])
@@ -280,10 +280,12 @@ def test_quad_batch_matches_einsum(rng):
     n, g, d = 9, 3, 5
     m = rng.normal(1.0, 0.5, (n, g, d))
     mu = rng.normal(1.0, 0.5, (g, d))
-    sig_inv = stage1._sigma_factors(np.stack([random_spd(rng, d) for _ in range(g)]))[0]
+    sig = np.stack([random_spd(rng, d) for _ in range(g)])
+    psi, lam = factor_form(sig)
     v = m - mu[None]
-    ref = np.einsum("ngd,gde,nge->ng", v, sig_inv, v)
-    np.testing.assert_allclose(stage1._quad_batch(m, mu, sig_inv), ref, rtol=1e-12, atol=0)
+    ref = np.einsum("ngd,gde,nge->ng", v, np.linalg.inv(sig), v)
+    np.testing.assert_allclose(stage1._quad_batch(m, mu, em._sigma_from(lam, psi)), ref,
+                               rtol=1e-12, atol=0)
 
 
 def test_guarded_batch_updates_match_public_functions(rng):
@@ -291,43 +293,42 @@ def test_guarded_batch_updates_match_public_functions(rng):
     y = rng.poisson(4.0, (n, d)).astype(np.float64)
     logc = np.zeros(n)
     m = np.log1p(y)[:, None, :].repeat(g, axis=1)
-    s = np.broadcast_to(0.1 * np.eye(d), (n, g, d, d)).copy()
+    s = (np.full((n, g, d), 0.1), np.zeros((n, g, d, 2)))
     mu = rng.normal(1.0, 0.3, (g, d))
     lam = rng.normal(0.0, 0.5, (g, d, 2))
     psi = rng.uniform(0.2, 1.0, (g, d))
     sig = lam @ lam.transpose(0, 2, 1) + psi[:, :, None] * np.eye(d)
-    sig_inv, sig_logdet = stage1._sigma_factors(sig)
-    caches = em._make_caches(y, logc, m, s, mu, sig_inv, np.linalg.slogdet(s)[1])
+    sigma = em._sigma_from(lam, psi)
+    caches = em._make_caches(y, logc, m, s, mu, sigma, np.linalg.slogdet(dense_s(*s))[1])
 
     s_new, trs, logdet_s, rate, expsum, _, _ = stage1._update_s_guarded(
-        sig_inv, logc, m, s, caches["trs"], caches["logdet_s"], caches["expsum"],
-        lam, psi, sig_logdet, caches["rate"],
+        sigma, logc, m, s, caches["trs"], caches["logdet_s"], caches["expsum"], caches["rate"],
     )
     for i in range(n):
         for j in range(g):
-            ref = update_s(sig[j], np.exp(logc[i]), m[i, j], s[i, j])
-            np.testing.assert_allclose(s_new[i, j], ref, atol=1e-12)
+            ref = update_s(sig[j], np.exp(logc[i]), m[i, j], dense_s(*s)[i, j])
+            np.testing.assert_allclose(dense_s(*s_new)[i, j], ref, atol=1e-12)
 
     m_new, *_ = stage1._update_m_guarded(
-        y, logc, sig_inv, mu, m, s_new, rate, stage1._quad_batch(m, mu, sig_inv)
+        y, logc, sigma, mu, m, s_new, rate, stage1._quad_batch(m, mu, sigma)
     )
     for i in range(n):
         for j in range(g):
-            ref = update_m(y[i], np.exp(logc[i]), sig[j], mu[j], m[i, j], s_new[i, j])
+            ref = update_m(y[i], np.exp(logc[i]), sig[j], mu[j], m[i, j], dense_s(*s_new)[i, j])
             np.testing.assert_allclose(m_new[i, j], ref, atol=1e-10)
 
     # Means far below log(y + 1) with larger counts: the full step
     # S grad overshoots, so the batched m step halves.
     y = 10.0 * y
     m = np.log1p(y)[:, None, :].repeat(g, axis=1) - 3.0
-    rate = stage1._rates_batch(logc, m, np.diagonal(s_new, axis1=-2, axis2=-1))[0]
+    rate = stage1._rates_batch(logc, m, np.diagonal(dense_s(*s_new), axis1=-2, axis2=-1))[0]
     m_new, *_, n_guarded = stage1._update_m_guarded(
-        y, logc, sig_inv, mu, m, s_new, rate, stage1._quad_batch(m, mu, sig_inv)
+        y, logc, sigma, mu, m, s_new, rate, stage1._quad_batch(m, mu, sigma)
     )
     assert n_guarded > 0
     for i in range(n):
         for j in range(g):
-            ref = update_m(y[i], np.exp(logc[i]), sig[j], mu[j], m[i, j], s_new[i, j])
+            ref = update_m(y[i], np.exp(logc[i]), sig[j], mu[j], m[i, j], dense_s(*s_new)[i, j])
             np.testing.assert_allclose(m_new[i, j], ref, atol=1e-10)
 
 
@@ -339,27 +340,28 @@ def _s_phi(sig_inv, logc, m, s):
 
 def test_s_step_halving_matches_dense_loop():
     # Large component covariances and small rates: the fixed-point step
-    # from a small S overshoots, so the bound terms along S + eta (S_full - S)
-    # peak at eta = 1/2 or 1/4.  Each pair's cached terms are set to a
-    # floor that picks one branch: the full step, the first halving, the
-    # second, or none.
+    # S(r) = (sigma^-1 + diag r)^-1 from a small S overshoots, and the
+    # bound terms along the candidates S(r / eta), eta = 1, 1/2, ..., peak
+    # at eta = 1/4.  Each pair's cached terms are set to a floor that
+    # picks one branch: the full step, the first halving, the second, or
+    # none.
     rng = np.random.default_rng(0)
     n, g, d, k = 2, 2, 3, 2
     lam = rng.normal(0.0, 5.0, (g, d, k))
     psi = 5.0 * rng.uniform(0.2, 1.0, (g, d))
-    sig_inv, sig_logdet = em._sigma_from(lam, psi)
+    sigma = em._sigma_from(lam, psi)
+    sig_inv = np.linalg.inv(lam @ lam.transpose(0, 2, 1) + psi[:, :, None] * np.eye(d))
     logc = np.zeros(n)
     m = -3.0 + rng.uniform(-0.5, 0.5, (n, g, d))
-    s = np.broadcast_to(0.01 * np.eye(d), (n, g, d, d)).copy()
+    s = (np.full((n, g, d), 0.01), np.zeros((n, g, d, k)))
     zeros = np.zeros((n, g))
-    rate0 = stage1._rates_batch(logc, m, np.diagonal(s, axis1=-2, axis2=-1))[0]
-    s_full = stage1._update_s_guarded(
-        sig_inv, logc, m, s, zeros, np.full((n, g), -np.inf), zeros, lam, psi, sig_logdet, rate0,
-    )[0]
+    rate0 = stage1._rates_batch(logc, m, s[0])[0]
 
     etas = 0.5 ** np.arange(stage1.MAX_HALVINGS + 1)  # the full step, then the halvings
-    phis = np.array([[[_s_phi(sig_inv[j], logc[i], m[i, j], s[i, j] + eta * (s_full[i, j] - s[i, j]))
-                       for eta in etas] for j in range(g)] for i in range(n)])
+    cands = np.array([[[np.linalg.inv(sig_inv[j] + np.diag(rate0[i, j] / eta)) for eta in etas]
+                       for j in range(g)] for i in range(n)])
+    phis = np.array([[[_s_phi(sig_inv[j], logc[i], m[i, j], c) for c in cands[i, j]]
+                      for j in range(g)] for i in range(n)])
     floor = np.empty((n, g))
     floor[0, 0] = phis[0, 0, 0] - 1.0  # the full step passes
     for (i, j), b in (((0, 1), 1), ((1, 1), 2)):  # first passes at eta = 2^-b
@@ -368,7 +370,7 @@ def test_s_step_halving_matches_dense_loop():
     floor[1, 0] = phis[1, 0].max() + 1.0  # nothing passes
     # phi_old = -tr/2 + log|S|/2 - sum(rate), so these caches make it the floor
     s_new, trs, logdet_s, rate, expsum, _, n_guarded = stage1._update_s_guarded(
-        sig_inv, logc, m, s, zeros, 2.0 * floor, zeros, lam, psi, sig_logdet, rate0,
+        sigma, logc, m, s, zeros, 2.0 * floor, zeros, rate0,
     )
     assert n_guarded == 3
     idx = np.arange(d)
@@ -376,16 +378,17 @@ def test_s_step_halving_matches_dense_loop():
         for j in range(g):
             passed = np.nonzero(phis[i, j] >= floor[i, j])[0]
             if len(passed):
-                ref = s[i, j] + etas[passed[0]] * (s_full[i, j] - s[i, j])
-                np.testing.assert_allclose(s_new[i, j], ref, rtol=0, atol=1e-12)
-            else:  # the previous S, with its cached pieces
-                np.testing.assert_array_equal(s_new[i, j], s[i, j])
-                ref = s[i, j]
-            assert logdet_s[i, j] == pytest.approx(np.linalg.slogdet(ref)[1], rel=1e-12)
-            assert trs[i, j] == pytest.approx(np.trace(sig_inv[j] @ ref), rel=1e-12)
-            ref_rate = np.exp(logc[i] + m[i, j] + 0.5 * ref[idx, idx])
-            np.testing.assert_allclose(rate[i, j], ref_rate, rtol=1e-12)
-            assert expsum[i, j] == pytest.approx(ref_rate.sum(), rel=1e-12)
+                ref = cands[i, j, passed[0]]
+                np.testing.assert_allclose(dense_s(*s_new)[i, j], ref, rtol=0, atol=1e-12)
+                assert logdet_s[i, j] == pytest.approx(np.linalg.slogdet(ref)[1], rel=1e-12)
+                assert trs[i, j] == pytest.approx(np.trace(sig_inv[j] @ ref), rel=1e-12)
+                ref_rate = np.exp(logc[i] + m[i, j] + 0.5 * ref[idx, idx])
+                np.testing.assert_allclose(rate[i, j], ref_rate, rtol=1e-12)
+                assert expsum[i, j] == pytest.approx(ref_rate.sum(), rel=1e-12)
+            else:  # the previous S, with the cached pieces it came with
+                for new, old in zip((*s_new, trs, logdet_s, rate, expsum),
+                                    (*s, zeros, 2.0 * floor, rate0, zeros)):
+                    np.testing.assert_array_equal(new[i, j], old[i, j])
 
 
 def test_s_step_counts_only_the_clamps_at_its_new_s():
@@ -397,18 +400,18 @@ def test_s_step_counts_only_the_clamps_at_its_new_s():
     n, g, d, k = 3, 2, 4, 1
     lam = rng.normal(0.0, 1.0, (g, d, k))
     psi = rng.uniform(0.2, 1.0, (g, d))
-    sig_inv, sig_logdet = em._sigma_from(lam, psi)
+    sigma = em._sigma_from(lam, psi)
     logc = np.full(n, 690.0)
     m = np.full((n, g, d), 9.0)
-    s = np.broadcast_to(4.0 * np.eye(d), (n, g, d, d)).copy()
-    assert stage1._rates_batch(logc, m, np.diagonal(s, axis1=-2, axis2=-1))[1] == n * g * d
-    rate0 = stage1._rates_batch(logc, m, np.diagonal(s, axis1=-2, axis2=-1))[0]
+    s = (np.full((n, g, d), 4.0), np.zeros((n, g, d, k)))
+    assert stage1._rates_batch(logc, m, s[0])[1] == n * g * d
+    rate0 = stage1._rates_batch(logc, m, s[0])[0]
     zeros = np.zeros((n, g))
     s_new, *_, clamps, n_guarded = stage1._update_s_guarded(
-        sig_inv, logc, m, s, zeros, np.full((n, g), -np.inf), zeros, lam, psi, sig_logdet, rate0,
+        sigma, logc, m, s, zeros, np.full((n, g), -np.inf), zeros, rate0,
     )
     assert n_guarded == 0
-    arg = logc[:, None, None] + m + 0.5 * np.diagonal(s_new, axis1=-2, axis2=-1)
+    arg = logc[:, None, None] + m + 0.5 * np.diagonal(dense_s(*s_new), axis1=-2, axis2=-1)
     assert np.all(np.abs(arg) < stage1.EXP_CLAMP)
     assert clamps == 0
 
@@ -435,23 +438,23 @@ def test_factor_form_s_step_matches_dense_inverse(seed, k):
     rng = np.random.default_rng(seed)
     n, g, d = 4, 2, 6
     lam, psi, sig = _factor_instance(rng, g, d, k)
-    sig_inv, sig_logdet = em._sigma_from(lam, psi)
+    sigma = em._sigma_from(lam, psi)
     logc = np.zeros(n)
     # rates exp(m + S_jj / 2) spread over [e^-4, e^8]
     m = rng.uniform(-4.0, 8.0 - 0.05, (n, g, d))
-    s = np.broadcast_to(0.1 * np.eye(d), (n, g, d, d)).copy()
+    s = (np.full((n, g, d), 0.1), np.zeros((n, g, d, k)))
     # previous bound terms of -inf, so the ascent guard keeps every entry
     worst = np.full((n, g), -np.inf)
     s_new, _, logdet_s, _, _, _, n_guarded = stage1._update_s_guarded(
-        sig_inv, logc, m, s, np.zeros((n, g)), worst, np.zeros((n, g)), lam, psi, sig_logdet,
-        stage1._rates_batch(logc, m, np.diagonal(s, axis1=-2, axis2=-1))[0],
+        sigma, logc, m, s, np.zeros((n, g)), worst, np.zeros((n, g)),
+        stage1._rates_batch(logc, m, s[0])[0],
     )
     assert n_guarded == 0
     rate = np.exp(m + 0.05)
     for i in range(n):
         for j in range(g):
             a = np.linalg.inv(sig[j]) + np.diag(rate[i, j])
-            assert _rel_err(s_new[i, j], np.linalg.inv(a)) < 1e-10
+            assert _rel_err(dense_s(*s_new)[i, j], np.linalg.inv(a)) < 1e-10
             sign, ref = np.linalg.slogdet(a)
             assert sign > 0
             assert logdet_s[i, j] == pytest.approx(-ref, rel=1e-10)
@@ -463,12 +466,50 @@ def test_factor_form_regression_matches_dense_solve(seed, k):
     rng = np.random.default_rng(seed)
     g, d = 2, 6
     lam, psi, sig = _factor_instance(rng, g, d, k)
-    beta = stage2._beta_from(lam, psi)
-    sig_inv, sig_logdet = em._sigma_from(lam, psi)
+    sigma = em._sigma_from(lam, psi)
+    beta = sigma[2]
     for j in range(g):
         assert _rel_err(beta[j], np.linalg.solve(sig[j], lam[j]).T) < 1e-10
-        assert sig_logdet[j] == pytest.approx(np.linalg.slogdet(sig[j])[1], rel=1e-10)
-        # psi^-1 - psi^-1 lam Q lam' psi^-1 cancels where psi_j is small
-        # against (lam lam')_jj: about eps * |lam|^2 / min psi, so 1e-7 at
-        # psi >= 1e-4.  The S step and beta above never form this difference.
-        assert _rel_err(sig_inv[j], np.linalg.inv(sig[j])) < 1e-7
+        assert sigma[3][j] == pytest.approx(np.linalg.slogdet(sig[j])[1], rel=1e-10)
+        # sigma^-1 x = psi^-1 (x - lam beta x), applied to the identity
+        sig_inv = stage1._sig_inv_apply(np.eye(d), stage1._take(sigma, j))
+        assert _rel_err(sig_inv, np.linalg.inv(sig[j])) < 1e-7
+
+
+@pytest.mark.parametrize("k", [1, 3, 6])
+@pytest.mark.parametrize("seed", range(4))
+def test_factor_form_kernels_match_dense_solves(seed, k):
+    # Every S- and sigma-dependent kernel of the fitting loop, on random
+    # factor forms S = diag(s_d) + s_w s_w' and psi down to 1e-4, against
+    # dense solves, products and log-determinants.  log|S| is checked
+    # where the loop computes it, at S(rho) = (sigma^-1 + diag rho)^-1.
+    rng = np.random.default_rng(100 + seed)
+    n, g, d = 3, 2, 8
+    lam, psi, sig = _factor_instance(rng, g, d, k)
+    sigma = em._sigma_from(lam, psi)
+    s = (rng.uniform(0.01, 1.0, (n, g, d)), rng.normal(0.0, 0.5, (n, g, d, k)))
+    s_dense = dense_s(*s)
+    m = rng.normal(1.0, 1.0, (n, g, d))
+    mu = rng.normal(1.0, 1.0, (g, d))
+    x = rng.normal(0.0, 1.0, (n, g, d))
+    rho = np.exp(rng.uniform(-4.0, 8.0, (n, g, d)))
+    trs = stage1._trace_batch(sigma, s)
+    quad = stage1._quad_batch(m, mu, sigma)
+    sig_inv_x = stage1._sig_inv_apply(x, sigma)
+    s_x = stage1._s_apply(s, x)
+    s_diag = stage1._s_diag(s)
+    s_rho, logdet_rho = stage1._s_of(rho, sigma)
+    for i in range(n):
+        for j in range(g):
+            v = m[i, j] - mu[j]
+            assert trs[i, j] == pytest.approx(np.trace(np.linalg.solve(sig[j], s_dense[i, j])),
+                                              rel=1e-10)
+            assert quad[i, j] == pytest.approx(v @ np.linalg.solve(sig[j], v), rel=1e-10)
+            assert _rel_err(sig_inv_x[i, j], np.linalg.solve(sig[j], x[i, j])) < 1e-10
+            assert _rel_err(s_x[i, j], s_dense[i, j] @ x[i, j]) < 1e-10
+            np.testing.assert_allclose(s_diag[i, j], np.diag(s_dense[i, j]), rtol=1e-10, atol=0)
+            a = np.linalg.inv(sig[j]) + np.diag(rho[i, j])
+            assert _rel_err(dense_s(*s_rho)[i, j], np.linalg.inv(a)) < 1e-10
+            sign, ref = np.linalg.slogdet(a)
+            assert sign > 0
+            assert logdet_rho[i, j] == pytest.approx(-ref, rel=1e-10)

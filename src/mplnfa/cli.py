@@ -7,6 +7,7 @@ whose size is capped by --threads (default: the CPU count) without
 affecting results.
 """
 
+import re
 import sys
 from pathlib import Path
 
@@ -151,6 +152,21 @@ def simulate_command(preset_name, n, d, g, k, model, replicates, seed, out_dir):
     click.echo(f"wrote {replicates} replicate(s) to {out}")
 
 
+def _by_replicate(paths):
+    """{replicate number: path}, the number being the integer that ends
+    the name (a fit directory `r10`, a truth file `truth_r010.json`)."""
+    out = {}
+    for path in paths:
+        match = re.search(r"(\d+)$", path.name.removesuffix(".json"))
+        if match is None:
+            raise InputError(f"{path}: name does not end in a replicate number")
+        r = int(match.group(1))
+        if r in out:
+            raise InputError(f"{out[r]} and {path} are both replicate {r}")
+        out[r] = path
+    return out
+
+
 @cli.command(name="evaluate")
 @click.option("--fits", "fits_dir", required=True, type=click.Path(), help="Directory of per-replicate fit directories.")
 @click.option("--truth", "truth_dir", required=True, type=click.Path(), help="Directory with truth_r*.json files.")
@@ -164,8 +180,9 @@ def evaluate_command(fits_dir, truth_dir, out_path):
         raise InputError(f"not a directory: {fits_dir}")
     if not truth_dir.is_dir():
         raise InputError(f"not a directory: {truth_dir}")
-    fit_dirs = sorted(p for p in fits_dir.iterdir() if p.is_dir() and (p / "report.json").exists())
-    truth_files = sorted(truth_dir.glob("truth_r*.json"))
+    fit_dirs = _by_replicate(
+        p for p in fits_dir.iterdir() if p.is_dir() and (p / "report.json").exists())
+    truth_files = _by_replicate(truth_dir.glob("truth_r*.json"))
     if not truth_files:
         raise InputError(f"no truth_r*.json files in {truth_dir}")
     if len(fit_dirs) != len(truth_files):
@@ -179,7 +196,10 @@ def evaluate_command(fits_dir, truth_dir, out_path):
     selection = {}
     matched_fits = []
     matched_truths = []
-    for fdir, tfile in zip(fit_dirs, truth_files):
+    for r, fdir in sorted(fit_dirs.items()):
+        if r not in truth_files:
+            raise InputError(f"no truth file for replicate {r} ({fdir}) in {truth_dir}")
+        tfile = truth_files[r]
         sel, fit_model, assignments = _read_fit_dir(fdir)
         labels, truth_model = _read_truth(tfile)
         if len(labels) != len(assignments):

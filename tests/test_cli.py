@@ -216,6 +216,30 @@ def test_evaluate_validation_exits_one(tmp_path):
     assert run_cli("evaluate", "--fits", str(empty), "--truth", str(empty)) == 1
 
 
+def test_evaluate_pairs_fits_and_truths_by_replicate_number(tmp_path, capsys):
+    # Fit directories r2 and r10 sort as r10, r2; each must still be
+    # scored against its own truth file, not the one at its sorted position.
+    sim, truth, fits = tmp_path / "sim", tmp_path / "truth", tmp_path / "fits"
+    assert simulate_small(sim, replicates=11) == 0
+    truth.mkdir()
+    for r in (2, 10):
+        shutil.copy(sim / f"truth_r{r:03d}.json", truth)
+        assert fit_small(sim / f"counts_r{r:03d}.csv", fits / f"r{r}") == 0
+    assert run_cli("evaluate", "--fits", str(fits), "--truth", str(truth)) == 0
+    metrics = json.loads((fits / "metrics.json").read_text(encoding="utf-8"))
+    pairs = [(e["fit"], e["truth"]) for e in metrics["per_replicate"]]
+    assert pairs == [("r2", "truth_r002.json"), ("r10", "truth_r010.json")]
+    assert min(e["ari"] for e in metrics["per_replicate"]) >= 0.95
+
+    # a fit directory without a replicate number, or without a truth file
+    for bad in ("final", "r3"):
+        (fits / "r10").rename(fits / bad)
+        capsys.readouterr()
+        assert run_cli("evaluate", "--fits", str(fits), "--truth", str(truth)) == 1
+        assert "error:" in capsys.readouterr().err
+        (fits / bad).rename(fits / "r10")
+
+
 @pytest.fixture(scope="module")
 def scored_replicate(tmp_path_factory):
     """A simulated replicate and its fit, laid out for `evaluate`."""

@@ -15,6 +15,13 @@ into one diff:
     python3 scripts/artifact_digest.py > after.txt
     python3 scripts/artifact_digest.py --src ../parent/src > before.txt
     diff before.txt after.txt
+
+A change that moves fitted values in the last digits breaks that
+identity.  `--values` prints instead every grid entry of every fit's
+`report.json`, one line each: the report, G, K, model, iteration count
+and the final bound at repr precision.  Two such listings agree when
+every line matches except the bound, and the bounds agree to a relative
+tolerance.
 """
 
 import argparse
@@ -60,6 +67,8 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default=str(ROOT / "src"),
                         help="source directory of the checkout to run (default: this one)")
+    parser.add_argument("--values", action="store_true",
+                        help="print every grid entry's (G, K, model, n_iter, loglik), not digests")
     args = parser.parse_args(argv)
     env = dict(os.environ, PYTHONPATH=str(Path(args.src).resolve()))
     with tempfile.TemporaryDirectory() as tmp:
@@ -67,7 +76,11 @@ def main(argv=None):
             subprocess.run([sys.executable, "-m", "mplnfa", *command],
                            cwd=tmp, env=env, check=True, stdout=subprocess.DEVNULL)
         for path in sorted(Path(tmp).rglob("*")):
-            if path.is_file():
+            if args.values and path.name == "report.json":
+                for e in json.loads(path.read_text(encoding="utf-8"))["grid"]:
+                    print(f"{path.relative_to(tmp)}  {e['g']} {e['k']} {e['model']} "
+                          f"{e['n_iter']} {e['loglik']!r}")
+            elif path.is_file() and not args.values:
                 print(f"{_digest(path)}  {path.relative_to(tmp)}")
     return 0
 

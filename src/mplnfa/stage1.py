@@ -270,15 +270,38 @@ def update_pi_mu(zhat, m):
 # log|sigma| (G,), from em._sigma_from.  A variational covariance travels
 # as s = (s_d, s_w), S = diag(s_d) + s_w s_w' with s_d (n, G, d) and
 # s_w (n, G, d, K).  Every kernel costs O(d K^2) per pair and forms no
-# d x d matrix.  The factors broadcast against any leading batch shape,
-# so the guards run the same kernels on the pairs they pull back, with
-# sigma taken at those pairs' components (`_take`).  All kernels are pure
-# functions; em._run_em owns caching of repeated terms.
+# d x d matrix.  The guards run the same kernels on the b pairs they pull
+# back, laid out as one row: per-pair arrays (1, b, ...) and sigma taken
+# at those pairs' components (`_take`).  All kernels are pure functions;
+# em._run_em owns caching of repeated terms.
 
 
 def _take(sigma, comps):
     """sigma's factors at the components `comps`, one per pair."""
     return tuple(a[comps] for a in sigma)
+
+
+def _comp_apply(a, x):
+    """a_g x for every vector x of a pair with component g, (n, G, ..., p).
+
+    a (G, p, q) holds one matrix per component and x (n, G, ..., q) the
+    vectors of every pair.  One matrix product per component covers all
+    of its pairs; a product per pair would cost n times the calls.
+    """
+    xg = np.swapaxes(x, 0, 1)
+    out = xg.reshape(xg.shape[0], -1, xg.shape[-1]) @ np.swapaxes(a, -1, -2)
+    return np.swapaxes(out.reshape(*xg.shape[:-1], a.shape[-2]), 0, 1)
+
+
+def _tri_inv(ell):
+    """Inverses of a stack of lower-triangular matrices with a positive
+    diagonal, by forward substitution over the whole stack at once."""
+    inv = np.zeros_like(ell)
+    for i in range(ell.shape[-1]):
+        inv[..., i, i] = 1.0 / ell[..., i, i]
+        inv[..., i, :i] = -np.einsum("...m,...mj->...j", ell[..., i, :i],
+                                     inv[..., :i, :i]) * inv[..., i, i, None]
+    return inv
 
 
 def _s_diag(s):
@@ -294,9 +317,11 @@ def _s_apply(s, x):
 
 
 def _sig_inv_apply(x, sigma):
-    """sigma^-1 x = psi^-1 (x - lam beta x) for every pair, (..., d)."""
+    """sigma^-1 x = psi^-1 (x - lam beta x) for every vector x (n, G, ..., d)."""
     lam, psi, beta, _ = sigma
-    return (x - (lam @ (beta @ x[..., None]))[..., 0]) / psi
+    out = x - _comp_apply(lam, _comp_apply(beta, x))
+    out /= np.expand_dims(psi, tuple(range(1, x.ndim - 2)))
+    return out
 
 
 def _rates_batch(logc, m, s_diag):
@@ -307,22 +332,27 @@ def _rates_batch(logc, m, s_diag):
 
 
 def _quad_batch(m, mu, sigma):
-    """(m - mu)' sigma^-1 (m - mu) for every pair, (...)."""
+    """(m - mu)' sigma^-1 (m - mu) for every pair, (n, G)."""
     v = m - mu
     return (v * _sig_inv_apply(v, sigma)).sum(-1)
 
 
 def _trace_batch(sigma, s):
-    """tr(sigma^-1 S) for every pair, (...).
+    """tr(sigma^-1 S) for every pair, (n, G).
 
-    The sum of s_d against diag(sigma^-1) = (1 - diag(lam beta)) / psi,
-    plus the sum of s_w against sigma^-1 s_w.
+    With sigma^-1 = psi^-1 (I - lam beta), tr(sigma^-1 S) is
+    tr(psi^-1 S) - tr(psi^-1 lam beta diag(s_d)) - <A, B>, where
+    A = lam' psi^-1 s_w and B = beta s_w are K x K.
     """
     lam, psi, beta, _ = sigma
     s_d, s_w = s
-    inv_diag = (1.0 - (lam * np.swapaxes(beta, -1, -2)).sum(-1)) / psi
-    inv_w = (s_w - lam @ (beta @ s_w)) / psi[..., None]
-    return (s_d * inv_diag).sum(-1) + (s_w * inv_w).sum((-2, -1))
+    k = lam.shape[-1]
+    lam_beta = (lam * np.swapaxes(beta, -1, -2)).sum(-1)  # diag(lam beta), (G, d)
+    # row c of ab is (A[:, c], B[:, c]), for column c of s_w
+    ab = _comp_apply(np.concatenate((np.swapaxes(lam, -1, -2) / psi[:, None, :], beta), axis=-2),
+                     np.swapaxes(s_w, -1, -2))
+    return (((_s_diag(s) - s_d * lam_beta) / psi).sum(-1)
+            - np.einsum("...ck,...ck->...", ab[..., :k], ab[..., k:]))
 
 
 def _s_of(rho, sigma):
@@ -335,18 +365,21 @@ def _s_of(rho, sigma):
         log|S| = log|sigma| - sum log(1 + psi rho) - log|M|,
 
     so s_d = psi h and s_w = V L^-T, with L the Cholesky factor of the
-    K x K M.  M has eigenvalues >= 1, and no term cancels.  rho must
-    be positive.  Returns ((s_d, s_w), log|S|).
+    K x K M.  M has eigenvalues >= 1, and no term cancels.  rho (n, G, d)
+    must be positive.  Returns ((s_d, s_w), log|S|).
     """
     lam, psi, _, sig_logdet = sigma
+    g, d, k = lam.shape
     psi_rho = psi * rho
     h = 1.0 / (1.0 + psi_rho)
-    mat_m = np.eye(lam.shape[-1]) + np.swapaxes(lam, -1, -2) @ ((rho * h)[..., None] * lam)
+    # M - I = sum_j rho_j h_j lam_j lam_j' from the rows' outer products
+    outer = (lam[..., :, None] * lam[..., None, :]).reshape(g, d, k * k)
+    mat_m = np.eye(k) + _comp_apply(np.swapaxes(outer, -1, -2), rho * h).reshape(*h.shape[:2], k, k)
     try:
         ell = np.linalg.cholesky(mat_m)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"covariance refresh failed: {exc}") from None
-    s_w = (h[..., None] * lam) @ np.swapaxes(np.linalg.inv(ell), -1, -2)
+    s_w = h[..., None] * np.swapaxes(_comp_apply(lam, _tri_inv(ell)), -1, -2)
     logdet_m = 2.0 * np.log(np.diagonal(ell, axis1=-2, axis2=-1)).sum(-1)
     return (psi * h, s_w), sig_logdet - np.log1p(psi_rho).sum(-1) - logdet_m
 
@@ -401,9 +434,9 @@ def _update_s_guarded(sigma, logc, m, s, trs, logdet_s, expsum, rate):
         def terms(eta, i, j):
             """(S, tr(sigma^-1 S), log|S|, rates) at S(r / eta) of pairs (i, j)."""
             sig_c = _take(sigma, j)
-            s_c, logdet_c = _s_of(rate[i, j] / eta[:, None], sig_c)
-            rate_c = _clamped_rate(logc[i][:, None], m[i, j], _s_diag(s_c))
-            return s_c, _trace_batch(sig_c, s_c), logdet_c, rate_c
+            s_c, logdet_c = _s_of(rate[None, i, j] / eta[:, None], sig_c)
+            rate_c = _clamped_rate(logc[i][:, None], m[i, j], _s_diag(s_c)[0])
+            return (s_c[0][0], s_c[1][0]), _trace_batch(sig_c, s_c)[0], logdet_c[0], rate_c
 
         def phi_at(eta):
             _, tr_c, logdet_c, rate_c = terms(eta, bi, bg)
@@ -458,7 +491,7 @@ def _update_m_guarded(y, logc, sigma, mu, m, s, rate, quad):
         def terms(cand):
             """(rates, (m - mu)' sigma^-1 (m - mu), m'y) of candidate means."""
             return (_clamped_rate(logc[bi][:, None], cand, s_diag[bi, bg]),
-                    _quad_batch(cand, mu[bg], sig_b),
+                    _quad_batch(cand[None], mu[bg], sig_b)[0],
                     np.einsum("bd,bd->b", cand, y[bi]))
 
         def phi_at(eta):

@@ -3,8 +3,10 @@
 
 The commands are the criterion-10 `simulate` and `fit` pair (the fit at
 --threads 1 and 2), `evaluate` of the --threads 1 fit against the
-simulated truth, and a setting1 n=300 fit over G 1-3, K 1-2 and all
-eight patterns.  They run in a temporary directory with relative paths,
+simulated truth, a setting1 n=300 fit over G 1-3, K 1-2 and all
+eight patterns, and a setting3 n=800 fit over G 2-3, K 3-4, UUU and
+CCC, shaped like the grid-select benchmark, so that the per-pair and
+sigma guards are also covered on a larger grid.  They run in a temporary directory with relative paths,
 so the input path that `report.json` records is the same on every run.
 The echoed `threads` is dropped from `report.json` before hashing; the
 rest of every artifact is hashed as written.
@@ -51,6 +53,10 @@ COMMANDS = (
     ["fit", "--input", "setting1/counts_r000.csv", "--gmin", "1",
      "--gmax", "3", "--kmin", "1", "--kmax", "2", "--models", "all",
      "--seed", "1", "--threads", "2", "--out-dir", "fit_setting1"],
+    ["simulate", "--preset", "setting3", "--n", "800", "--seed", "21", "--out-dir", "setting3"],
+    ["fit", "--input", "setting3/counts_r000.csv", "--gmin", "2", "--gmax", "3",
+     "--kmin", "3", "--kmax", "4", "--models", "UUU,CCC", "--threads", "2",
+     "--out-dir", "fit_setting3"],
 )
 
 

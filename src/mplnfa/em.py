@@ -14,9 +14,8 @@ configuration, so results are identical for any worker count.
 """
 
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
-from threading import Lock
 
 import numpy as np
 from scipy.special import gammaln, logsumexp, xlogy
@@ -501,7 +500,8 @@ def _run_em(y, logc, x, labels, g, k, model_id, config):
         diag["s_guard_backtracks"] += nb
         (m, caches["rate"], caches["expsum"], caches["quad"], caches["my"],
          cl, nb) = stage1._update_m_guarded(
-            y, logc, sigma, mu, m, s, caches["rate"], caches["quad"]
+            y, logc, sigma, mu, m, s, caches["rate"], caches["expsum"], caches["quad"],
+            caches["my"],
         )
         diag["exp_clamped"] += cl
         diag["m_guard_backtracks"] += nb
@@ -620,52 +620,40 @@ def grid_search(data, factors, config, threads=None):
         for model in config.models
     ]
 
-    results = {}
-    best = {"key": None, "fit": None}
-    lock = Lock()
-
-    def _failed(index, g, k, model, error):
-        entry = GridEntry(
-            g=g, k=k, model_id=model, bic=np.nan, icl=np.nan, loglik=np.nan,
-            free_params=0, converged=False, degenerate=False, n_iter=0,
-            error=error, elbo_trace=(),
-        )
-        with lock:
-            results[index] = entry
-
-    def _one(index, g, k, model):
-        if g in start_errors:
-            return _failed(index, g, k, model, start_errors[g])
+    def _one(g, k, model):
+        """(GridEntry, fit) of one triple; the fit is None where it failed."""
         try:
+            if g in start_errors:
+                raise NumericalError(start_errors[g])
             fit = _run_em(y, logc, x, labels_by_g[g], g, k, model, config)
         except (NumericalError, np.linalg.LinAlgError) as exc:
-            return _failed(index, g, k, model, str(exc))
-        entry = GridEntry(
+            return GridEntry(
+                g=g, k=k, model_id=model, bic=np.nan, icl=np.nan, loglik=np.nan,
+                free_params=0, converged=False, degenerate=False, n_iter=0,
+                error=str(exc), elbo_trace=(),
+            ), None
+        return GridEntry(
             g=g, k=k, model_id=model, bic=fit.bic, icl=fit.icl,
             loglik=fit.loglik_approx, free_params=fit.free_params,
             converged=fit.converged, degenerate=fit.diagnostics["degenerate"],
             n_iter=fit.n_iter, error="", elbo_trace=tuple(fit.elbo_trace),
-        )
-        with lock:
-            results[index] = entry
-            if not entry.degenerate and np.isfinite(entry.bic):
-                key = (entry.bic, index)
-                if best["key"] is None or key < best["key"]:
-                    best["key"], best["fit"] = key, fit
+        ), fit
 
-    if threads == 1:
-        for i, (g, k, model) in enumerate(triples):
-            _one(i, g, k, model)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(_one, i, g, k, model) for i, (g, k, model) in enumerate(triples)
-            ]
-            for fut in futures:
-                fut.result()
+    # Fits are taken as they finish and only the best is kept, so no
+    # finished fit waits in memory for an earlier triple to finish.
+    results = [None] * len(triples)
+    best_key, best_fit = (np.inf, 0), None
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        futures = {pool.submit(_one, *triple): i for i, triple in enumerate(triples)}
+        for fut in as_completed(futures):
+            i = futures.pop(fut)  # a future holds its fit until released
+            results[i], fit = fut.result()
+            key = (results[i].bic, i)
+            if not results[i].degenerate and np.isfinite(key[0]) and key < best_key:
+                best_key, best_fit = key, fit
 
-    entries = tuple(results[i] for i in range(len(triples)))
-    if best["fit"] is None:
+    entries = tuple(results)
+    if best_fit is None:
         raise NumericalError("every grid triple failed or degenerated; nothing to select")
     eligible = [
         (e.icl, i, e)
@@ -673,4 +661,4 @@ def grid_search(data, factors, config, threads=None):
         if not e.degenerate and e.error == "" and np.isfinite(e.icl)
     ]
     best_icl = min(eligible)[2]
-    return GridSearchResult(best=best["fit"], best_icl=best_icl, entries=entries)
+    return GridSearchResult(best=best_fit, best_icl=best_icl, entries=entries)

@@ -404,6 +404,35 @@ def _halve(phi_at, floor, halvings=MAX_HALVINGS):
     return np.where(ok, eta, 0.0)
 
 
+def _guard_pairs(phi_old, new, old, at, phi, move=True):
+    """The per-pair ascent guard shared by the batched S and m steps.
+
+    phi_old and phi (n, G) are every pair's objective before and after
+    its full step; `new` and `old` are matching tuples of the pieces
+    (n, G, ...) after and before it.  A pair that may `move` and whose
+    phi is not finite or falls below phi_old, less a 1e-12 relative
+    slack, is guarded: `_halve` searches its step length, with
+    at(eta, i, j) giving the objectives and the pieces of pairs (i, j)
+    at step lengths eta.  Accepted pairs get those pieces in `new`; a
+    pair with no passing step gets its `old` pieces back, bitwise.
+    Returns the number of guarded pairs.
+    """
+    floor = phi_old - 1e-12 * np.maximum(1.0, np.abs(phi_old))
+    bad = move & ~(np.isfinite(phi) & (phi >= floor))
+    n_guarded = int(np.count_nonzero(bad))
+    if n_guarded:
+        bi, bg = np.nonzero(bad)
+        eta = _halve(lambda e: at(e, bi, bg)[0], floor[bi, bg])
+        ok = eta > 0
+        i, j = bi[ok], bg[ok]
+        for a, piece in zip(new, at(eta[ok], i, j)[1]):
+            a[i, j] = piece
+        i, j = bi[~ok], bg[~ok]
+        for a, b in zip(new, old):
+            a[i, j] = b[i, j]
+    return n_guarded
+
+
 def _update_s_guarded(sigma, logc, m, s, trs, logdet_s, expsum, rate):
     """Batched covariance refresh with an ascent guard.
 
@@ -411,9 +440,9 @@ def _update_s_guarded(sigma, logc, m, s, trs, logdet_s, expsum, rate):
     the rates r, built in factor form by `_s_of`.  A pair whose bound
     terms -tr(sigma^-1 S)/2 + log|S|/2 - sum(rates) decrease tries
     S(r / eta) for eta = 1/2, 1/4, ... and keeps its previous S, with
-    its cached pieces, if no candidate does better.  Takes and returns
-    the cached bound pieces that depend on S; `rate` must be evaluated
-    at (m, diag(s)).
+    its cached pieces, if no candidate does better (`_guard_pairs`).
+    Takes and returns the cached bound pieces that depend on S; `rate`
+    must be evaluated at (m, diag(s)).
 
     Returns (s_new, trs, logdet_s, rate at (m, s_new), expsum, clamps,
     n_guarded); clamps counts the clamped rates of the full step's S.
@@ -423,43 +452,31 @@ def _update_s_guarded(sigma, logc, m, s, trs, logdet_s, expsum, rate):
     rate_new, clamps = _rates_batch(logc, m, _s_diag(s_new))
     expsum_new = rate_new.sum(-1)
 
-    phi_old = -0.5 * trs + 0.5 * logdet_s - expsum
-    phi_new = -0.5 * trs_new + 0.5 * logdet_new - expsum_new
-    slack = 1e-12 * np.maximum(1.0, np.abs(phi_old))
-    bad = phi_new < phi_old - slack
-    n_guarded = int(np.count_nonzero(bad))
-    if n_guarded:
-        bi, bg = np.nonzero(bad)
+    def at(eta, i, j):
+        """Objectives and pieces (S, tr(sigma^-1 S), log|S|, rates, their
+        sum) at S(r / eta) of pairs (i, j)."""
+        sig_c = _take(sigma, j)
+        s_c, logdet_c = _s_of(rate[None, i, j] / eta[:, None], sig_c)
+        rate_c = _clamped_rate(logc[i][:, None], m[i, j], _s_diag(s_c)[0])
+        tr_c, expsum_c = _trace_batch(sig_c, s_c)[0], rate_c.sum(-1)
+        return (-0.5 * tr_c + 0.5 * logdet_c[0] - expsum_c,
+                (s_c[0][0], s_c[1][0], tr_c, logdet_c[0], rate_c, expsum_c))
 
-        def terms(eta, i, j):
-            """(S, tr(sigma^-1 S), log|S|, rates) at S(r / eta) of pairs (i, j)."""
-            sig_c = _take(sigma, j)
-            s_c, logdet_c = _s_of(rate[None, i, j] / eta[:, None], sig_c)
-            rate_c = _clamped_rate(logc[i][:, None], m[i, j], _s_diag(s_c)[0])
-            return (s_c[0][0], s_c[1][0]), _trace_batch(sig_c, s_c)[0], logdet_c[0], rate_c
-
-        def phi_at(eta):
-            _, tr_c, logdet_c, rate_c = terms(eta, bi, bg)
-            return -0.5 * tr_c + 0.5 * logdet_c - rate_c.sum(-1)
-
-        eta = _halve(phi_at, phi_old[bi, bg] - slack[bi, bg])
-        ok = eta > 0
-        i, j = bi[ok], bg[ok]
-        (s_new[0][i, j], s_new[1][i, j]), trs_new[i, j], logdet_new[i, j], rate_new[i, j] = \
-            terms(eta[ok], i, j)
-        expsum_new[i, j] = rate_new[i, j].sum(-1)
-        i, j = bi[~ok], bg[~ok]
-        for new, old in zip((*s_new, trs_new, logdet_new, rate_new, expsum_new),
-                            (*s, trs, logdet_s, rate, expsum)):
-            new[i, j] = old[i, j]
+    new = (*s_new, trs_new, logdet_new, rate_new, expsum_new)
+    n_guarded = _guard_pairs(-0.5 * trs + 0.5 * logdet_s - expsum, new,
+                             (*s, trs, logdet_s, rate, expsum), at,
+                             -0.5 * trs_new + 0.5 * logdet_new - expsum_new)
     return s_new, trs_new, logdet_new, rate_new, expsum_new, clamps, n_guarded
 
 
-def _update_m_guarded(y, logc, sigma, mu, m, s, rate, quad):
+def _update_m_guarded(y, logc, sigma, mu, m, s, rate, expsum, quad, my):
     """Batched guarded mean refresh.
 
-    Takes the Newton-style step S grad (`_s_apply`).  `rate` must be evaluated at (m, diag(s)); `quad`
-    at (m, mu).  Returns (m_new, rate, expsum, quad, my, clamps,
+    Takes the Newton-style step S grad (`_s_apply`); a pair whose bound
+    terms m'y - sum(rates) - (m - mu)' sigma^-1 (m - mu) / 2 decrease
+    halves it (`_guard_pairs`).  The cached pieces `rate` and its sum
+    `expsum` must be evaluated at (m, diag(s)), `quad` at (m, mu) and
+    `my` at m.  Returns (m_new, rate, expsum, quad, my, clamps,
     n_guarded) with the caches refreshed at m_new.
     """
     s_diag = _s_diag(s)
@@ -470,36 +487,22 @@ def _update_m_guarded(y, logc, sigma, mu, m, s, rate, quad):
     step = _s_apply(s, grad)
     step[~move] = 0.0
 
-    my0 = np.einsum("ngd,nd->ng", m, y)
-    phi0 = my0 - rate.sum(-1) - 0.5 * quad
-
     m_new = m + step
     rate_new, clamps = _rates_batch(logc, m_new, s_diag)
+    expsum_new = rate_new.sum(-1)
     quad_new = _quad_batch(m_new, mu, sigma)
     my_new = np.einsum("ngd,nd->ng", m_new, y)
-    phi1 = my_new - rate_new.sum(-1) - 0.5 * quad_new
 
-    slack = 1e-12 * np.maximum(1.0, np.abs(phi0))
-    bad = move & ~(np.isfinite(phi1) & (phi1 >= phi0 - slack))
-    n_guarded = int(np.count_nonzero(bad))
-    if n_guarded:
-        bi, bg = np.nonzero(bad)
-        m_old_b = m[bi, bg]
-        step_b = step[bi, bg]
-        sig_b = _take(sigma, bg)
+    def at(eta, i, j):
+        """Objectives and pieces (m, rates, their sum, (m - mu)' sigma^-1
+        (m - mu), m'y) at m + eta S grad of pairs (i, j)."""
+        m_c = m[i, j] + eta[:, None] * step[i, j]
+        rate_c = _clamped_rate(logc[i][:, None], m_c, s_diag[i, j])
+        quad_c = _quad_batch(m_c[None], mu[j], _take(sigma, j))[0]
+        expsum_c, my_c = rate_c.sum(-1), np.einsum("bd,bd->b", m_c, y[i])
+        return my_c - expsum_c - 0.5 * quad_c, (m_c, rate_c, expsum_c, quad_c, my_c)
 
-        def terms(cand):
-            """(rates, (m - mu)' sigma^-1 (m - mu), m'y) of candidate means."""
-            return (_clamped_rate(logc[bi][:, None], cand, s_diag[bi, bg]),
-                    _quad_batch(cand[None], mu[bg], sig_b)[0],
-                    np.einsum("bd,bd->b", cand, y[bi]))
-
-        def phi_at(eta):
-            rate_c, quad_c, my_c = terms(m_old_b + eta[:, None] * step_b)
-            return my_c - rate_c.sum(-1) - 0.5 * quad_c
-
-        eta = _halve(phi_at, phi0[bi, bg] - slack[bi, bg])[:, None]
-        best = np.where(eta > 0, m_old_b + eta * step_b, m_old_b)
-        m_new[bi, bg] = best
-        rate_new[bi, bg], quad_new[bi, bg], my_new[bi, bg] = terms(best)
-    return m_new, rate_new, rate_new.sum(-1), quad_new, my_new, clamps, n_guarded
+    new = (m_new, rate_new, expsum_new, quad_new, my_new)
+    n_guarded = _guard_pairs(my - expsum - 0.5 * quad, new, (m, rate, expsum, quad, my), at,
+                             my_new - expsum_new - 0.5 * quad_new, move)
+    return (*new, clamps, n_guarded)

@@ -1,6 +1,7 @@
 """Scores, initialization, the outer fitting loop, and the model grid."""
 
 import dataclasses
+import time
 import tracemalloc
 
 import numpy as np
@@ -525,6 +526,30 @@ def test_grid_search_identical_across_thread_counts(rng):
         assert ea.elbo_trace == eb.elbo_trace
     assert a.best.bic == b.best.bic
     assert np.array_equal(a.best.assignments, b.best.assignments)
+
+
+def test_grid_search_breaks_ties_by_grid_position_not_completion(rng, monkeypatch):
+    # Earlier triples sleep longer, so fits finish out of grid order, and
+    # every fit reports the same BIC, so only the grid position decides.
+    data, factors, _ = _grid_data(rng)
+    models = (ModelId.from_string("UUU"), ModelId.from_string("CCC"))
+    cfg = _quick_config(g_range=(1, 2), k_range=(1, 2), models=models, max_outer=5)
+    triples = [(g, k, m) for g in (1, 2) for k in (1, 2) for m in models]
+    real_run = em._run_em
+    finished = []
+
+    def slow_tie(y, logc, x, labels, g, k, model_id, config):
+        fit = real_run(y, logc, x, labels, g, k, model_id, config)
+        time.sleep(0.05 * (len(triples) - triples.index((g, k, model_id))))
+        finished.append((g, k, model_id))
+        return dataclasses.replace(fit, bic=1.0)
+
+    monkeypatch.setattr(em, "_run_em", slow_tie)
+    grid = grid_search(data, factors, cfg, threads=4)
+    assert finished[0] != triples[0]
+    assert (grid.best.g, grid.best.k, grid.best.model_id) == triples[0]
+    assert [(e.g, e.k, e.model_id) for e in grid.entries] == triples
+    assert all(e.bic == 1.0 for e in grid.entries)
 
 
 def test_grid_search_validates_inputs(rng):

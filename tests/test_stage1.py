@@ -310,7 +310,8 @@ def test_guarded_batch_updates_match_public_functions(rng):
             np.testing.assert_allclose(dense_s(*s_new)[i, j], ref, atol=1e-12)
 
     m_new, *_ = stage1._update_m_guarded(
-        y, logc, sigma, mu, m, s_new, rate, stage1._quad_batch(m, mu, sigma)
+        y, logc, sigma, mu, m, s_new, rate, expsum, stage1._quad_batch(m, mu, sigma),
+        np.einsum("ngd,nd->ng", m, y),
     )
     for i in range(n):
         for j in range(g):
@@ -323,7 +324,8 @@ def test_guarded_batch_updates_match_public_functions(rng):
     m = np.log1p(y)[:, None, :].repeat(g, axis=1) - 3.0
     rate = stage1._rates_batch(logc, m, np.diagonal(dense_s(*s_new), axis1=-2, axis2=-1))[0]
     m_new, *_, n_guarded = stage1._update_m_guarded(
-        y, logc, sigma, mu, m, s_new, rate, stage1._quad_batch(m, mu, sigma)
+        y, logc, sigma, mu, m, s_new, rate, rate.sum(-1), stage1._quad_batch(m, mu, sigma),
+        np.einsum("ngd,nd->ng", m, y),
     )
     assert n_guarded > 0
     for i in range(n):
@@ -388,6 +390,73 @@ def test_s_step_halving_matches_dense_loop():
             else:  # the previous S, with the cached pieces it came with
                 for new, old in zip((*s_new, trs, logdet_s, rate, expsum),
                                     (*s, zeros, 2.0 * floor, rate0, zeros)):
+                    np.testing.assert_array_equal(new[i, j], old[i, j])
+
+
+def test_m_step_halving_matches_dense_loop():
+    # Means 3 below log(y + 1) under a large S: the step S grad overshoots
+    # the rates' balance point several times over, so the bound terms
+    # along m + eta S grad, eta = 1, 1/2, ..., rise at least to
+    # eta = 1/4.  Each pair's cached m'y is set so that its previous
+    # terms are a floor that picks one branch: the full step, the first
+    # halving, the second, or none.
+    rng = np.random.default_rng(2)
+    n, g, d, k = 2, 2, 3, 2
+    lam = rng.normal(0.0, 1.0, (g, d, k))
+    psi = rng.uniform(0.5, 1.5, (g, d))
+    sigma = em._sigma_from(lam, psi)
+    sig = lam @ lam.transpose(0, 2, 1) + psi[:, :, None] * np.eye(d)
+    y = rng.poisson(30.0, (n, d)).astype(np.float64)
+    logc = np.zeros(n)
+    m = np.log1p(y)[:, None, :] - 3.0 + rng.uniform(-0.2, 0.2, (n, g, d))
+    mu = m.mean(axis=0)
+    s = (np.full((n, g, d), 0.5), rng.normal(0.0, 0.2, (n, g, d, k)))
+    s_dense = dense_s(*s)
+    idx = np.arange(d)
+    rate0 = stage1._rates_batch(logc, m, s_dense[..., idx, idx])[0]
+    zeros = np.zeros((n, g))
+
+    def terms(i, j, c):
+        """(rates, quad, m'y) of mean c for pair (i, j), densely."""
+        rate = np.exp(logc[i] + c + 0.5 * s_dense[i, j][idx, idx])
+        return rate, (c - mu[j]) @ np.linalg.solve(sig[j], c - mu[j]), c @ y[i]
+
+    etas = 0.5 ** np.arange(stage1.MAX_HALVINGS + 1)  # the full step, then the halvings
+    steps = np.array([[s_dense[i, j] @ (y[i] - rate0[i, j]
+                                       - np.linalg.solve(sig[j], m[i, j] - mu[j]))
+                       for j in range(g)] for i in range(n)])
+    cands = m[:, :, None, :] + etas[:, None] * steps[:, :, None, :]
+    phis = np.empty(cands.shape[:3])
+    for i in range(n):
+        for j in range(g):
+            for b, c in enumerate(cands[i, j]):
+                rate, quad, my = terms(i, j, c)
+                phis[i, j, b] = my - rate.sum() - 0.5 * quad
+    floor = np.empty((n, g))
+    floor[0, 0] = phis[0, 0, 0] - 1.0  # the full step passes
+    for (i, j), b in (((0, 1), 1), ((1, 1), 2)):  # first passes at eta = 2^-b
+        assert phis[i, j, b] > phis[i, j, :b].max() + 1e-3
+        floor[i, j] = 0.5 * (phis[i, j, b] + phis[i, j, :b].max())
+    floor[1, 0] = phis[1, 0].max() + 1.0  # nothing passes
+    # phi_old = m'y - sum(rate) - quad/2, so these caches make it the floor
+    m_new, rate, expsum, quad, my, _, n_guarded = stage1._update_m_guarded(
+        y, logc, sigma, mu, m, s, rate0, zeros, zeros, floor,
+    )
+    assert n_guarded == 3
+    for i in range(n):
+        for j in range(g):
+            passed = np.nonzero(phis[i, j] >= floor[i, j])[0]
+            if len(passed):
+                ref = cands[i, j, passed[0]]
+                np.testing.assert_allclose(m_new[i, j], ref, rtol=1e-12, atol=0)
+                ref_rate, ref_quad, ref_my = terms(i, j, ref)
+                np.testing.assert_allclose(rate[i, j], ref_rate, rtol=1e-10)
+                assert expsum[i, j] == pytest.approx(ref_rate.sum(), rel=1e-10)
+                assert quad[i, j] == pytest.approx(ref_quad, rel=1e-10)
+                assert my[i, j] == pytest.approx(ref_my, rel=1e-12)
+            else:  # the previous mean, with the cached pieces it came with
+                for new, old in zip((m_new, rate, expsum, quad, my),
+                                    (m, rate0, zeros, zeros, floor)):
                     np.testing.assert_array_equal(new[i, j], old[i, j])
 
 

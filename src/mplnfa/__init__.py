@@ -7,103 +7,3 @@ scores.  See the README for the model family and usage.
 """
 
 __version__ = "0.1.0"
-
-from .core import (
-    ALL_MODELS,
-    ComponentParams,
-    CountMatrix,
-    EmptyComponentError,
-    InputError,
-    MixtureModel,
-    ModelId,
-    NormalizationFactors,
-    NumericalError,
-    VariationalState,
-    assemble_sigma,
-    covariance_param_count,
-    total_free_params,
-)
-from .stage1 import (
-    elbo_stage1,
-    elbo_stage1_grad_m,
-    update_m,
-    update_pi_mu,
-    update_responsibilities,
-    update_s,
-)
-from .stage2 import (
-    Stage2NonConvergence,
-    Stage2Stats,
-    compute_w,
-    elbo_stage2,
-    make_stage2_stats,
-    update_lambda_psi,
-    update_p,
-    update_q,
-)
-from .em import (
-    FitConfig,
-    FitResult,
-    GridEntry,
-    GridSearchResult,
-    bic,
-    fit_single,
-    grid_search,
-    icl,
-    initialize,
-)
-from .simulate import PRESET_NAMES, SimulationConfig, generate, preset, random_config
-from .evaluate import RecoveryReport, ari, match_components, mse_sigma, recovery_report
-from .io import read_counts, write_counts
-
-__all__ = [
-    "__version__",
-    "ALL_MODELS",
-    "ComponentParams",
-    "CountMatrix",
-    "EmptyComponentError",
-    "InputError",
-    "MixtureModel",
-    "ModelId",
-    "NormalizationFactors",
-    "NumericalError",
-    "VariationalState",
-    "assemble_sigma",
-    "covariance_param_count",
-    "total_free_params",
-    "elbo_stage1",
-    "elbo_stage1_grad_m",
-    "update_m",
-    "update_pi_mu",
-    "update_responsibilities",
-    "update_s",
-    "Stage2NonConvergence",
-    "Stage2Stats",
-    "compute_w",
-    "elbo_stage2",
-    "make_stage2_stats",
-    "update_lambda_psi",
-    "update_p",
-    "update_q",
-    "FitConfig",
-    "FitResult",
-    "GridEntry",
-    "GridSearchResult",
-    "bic",
-    "fit_single",
-    "grid_search",
-    "icl",
-    "initialize",
-    "PRESET_NAMES",
-    "SimulationConfig",
-    "generate",
-    "preset",
-    "random_config",
-    "RecoveryReport",
-    "ari",
-    "match_components",
-    "mse_sigma",
-    "recovery_report",
-    "read_counts",
-    "write_counts",
-]

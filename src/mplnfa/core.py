@@ -9,7 +9,7 @@ named by three-letter codes (e.g. "UCC"), one letter per constraint,
 "C" for constrained and "U" for unconstrained.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -13,6 +13,7 @@ and no volatile fields, so reruns produce byte-identical artifacts.
 import csv
 import hashlib
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -152,14 +153,18 @@ def read_factors_file(path, sample_ids):
     return NormalizationFactors(np.array([table[s] for s in sample_ids]))
 
 
-def write_counts(path, data):
-    """Write a CountMatrix in the format `read_counts` accepts."""
-    path = Path(path)
+def _write_rows(path, header, rows):
+    """Write a UTF-8 CSV: the header row, then `rows`."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["sample_id", *data.var_ids])
-        for i, sid in enumerate(data.sample_ids):
-            writer.writerow([sid, *map(int, data.values[i])])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_counts(path, data):
+    """Write a CountMatrix in the format `read_counts` accepts."""
+    _write_rows(path, ["sample_id", *data.var_ids],
+                ([sid, *map(int, data.values[i])] for i, sid in enumerate(data.sample_ids)))
 
 
 def sha256_file(path):
@@ -214,16 +219,9 @@ def build_report(result, data, config, input_path, normalize, threads, version):
             "d": data.d,
             "normalize": normalize,
         },
-        "config": {
-            "g_range": list(config.g_range),
-            "k_range": list(config.k_range),
-            "models": [str(m) for m in config.models],
-            "n_starts": config.n_starts,
-            "max_outer": config.max_outer,
-            "tol_outer": config.tol_outer,
-            "seed": config.seed,
-            "threads": threads,
-        },
+        # Every FitConfig field, in field order, then the worker count.
+        "config": {**{f.name: getattr(config, f.name) for f in fields(config)},
+                   "models": [str(m) for m in config.models], "threads": threads},
         "selected": {
             "g": best.g,
             "k": best.k,
@@ -322,41 +320,29 @@ def _read_truth(path):
 def write_assignments(path, data, fit):
     """sample_id, hard cluster, and its posterior probability."""
     zhat = fit.state.zhat
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample_id", "cluster", "posterior"])
-        for i, sid in enumerate(data.sample_ids):
-            g = int(fit.assignments[i])
-            writer.writerow([sid, g, f"{zhat[i, g]:.10g}"])
+    _write_rows(path, ["sample_id", "cluster", "posterior"],
+                ([sid, g, f"{zhat[i, g]:.10g}"]
+                 for i, (sid, g) in enumerate(zip(data.sample_ids, map(int, fit.assignments)))))
 
 
 def write_posteriors(path, data, fit):
     """Full responsibility matrix, one row per sample."""
     zhat = fit.state.zhat
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample_id", *(f"g{j}" for j in range(zhat.shape[1]))])
-        for i, sid in enumerate(data.sample_ids):
-            writer.writerow([sid, *(f"{v:.10g}" for v in zhat[i])])
+    _write_rows(path, ["sample_id", *(f"g{j}" for j in range(zhat.shape[1]))],
+                ([sid, *(f"{v:.10g}" for v in zhat[i])] for i, sid in enumerate(data.sample_ids)))
 
 
 def write_traces(path, entries):
     """Long-format objective traces for every grid triple."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["g", "k", "model", "iteration", "elbo"])
-        for e in entries:
-            for t, val in enumerate(e.elbo_trace):
-                writer.writerow([e.g, e.k, str(e.model_id), t, f"{val:.10g}"])
+    _write_rows(path, ["g", "k", "model", "iteration", "elbo"],
+                ([e.g, e.k, str(e.model_id), t, f"{val:.10g}"]
+                 for e in entries for t, val in enumerate(e.elbo_trace)))
 
 
 def write_plot_data(path, data, factors, fit):
     """Long-format exposure-adjusted log counts with cluster labels."""
     x = np.log1p(data.values.astype(np.float64)) - np.log(factors.c)[:, None]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample_id", "cluster", "variable", "value"])
-        for i, sid in enumerate(data.sample_ids):
-            g = int(fit.assignments[i])
-            for j, vid in enumerate(data.var_ids):
-                writer.writerow([sid, g, vid, f"{x[i, j]:.10g}"])
+    _write_rows(path, ["sample_id", "cluster", "variable", "value"],
+                ([sid, g, vid, f"{x[i, j]:.10g}"]
+                 for i, (sid, g) in enumerate(zip(data.sample_ids, map(int, fit.assignments)))
+                 for j, vid in enumerate(data.var_ids)))

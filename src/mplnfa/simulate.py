@@ -20,7 +20,7 @@ from .core import (
     NumericalError,
 )
 
-__all__ = ["SimulationConfig", "generate", "preset", "PRESET_NAMES"]
+__all__ = ["SimulationConfig", "generate", "preset", "random_config", "PRESET_NAMES"]
 
 # Entropy prefix for drawing preset loadings and error variances.
 _PRESET_PARAM_SEED = 1225

@@ -174,9 +174,9 @@ def _elbo_m_part(y, logc, m, s_diag, mu, sigma):
 def update_m(y, c, sigma, mu, m_prev, s_new):
     """Guarded Newton-style refresh of the variational mean.
 
-    Takes the step S_new @ grad, halving it up to `MAX_HALVINGS` times
-    if the bound decreases; returns the input unchanged when the
-    gradient sup-norm is below `GRAD_TOL` or no step length helps.
+    Takes the step S_new @ grad, or if the bound decreases the first of
+    its halvings that `_halve` accepts; returns a copy of the input when
+    the gradient sup-norm is below `GRAD_TOL` or no step length helps.
     """
     y = _check_counts(y)
     d = y.shape[0]
@@ -199,15 +199,12 @@ def update_m(y, c, sigma, mu, m_prev, s_new):
 
     step = s_new @ grad
     f0 = _elbo_m_part(y, logc, m_prev, s_diag, mu, sigma)
-    slack = 1e-12 * max(1.0, abs(f0))
-    eta = 1.0
-    for _ in range(MAX_HALVINGS + 1):
-        cand = m_prev + eta * step
-        f1 = _elbo_m_part(y, logc, cand, s_diag, mu, sigma)
-        if np.isfinite(f1) and f1 >= f0 - slack:
-            return cand
-        eta *= 0.5
-    return m_prev.copy()
+    floor = f0 - 1e-12 * max(1.0, abs(f0))
+    f1 = _elbo_m_part(y, logc, m_prev + step, s_diag, mu, sigma)
+    if np.isfinite(f1) and f1 >= floor:
+        return m_prev + step
+    eta = _halve(lambda e: _elbo_m_part(y, logc, m_prev + e * step, s_diag, mu, sigma), floor)
+    return m_prev + eta * step if eta > 0 else m_prev.copy()
 
 
 # ---------------------------------------------------------------------------

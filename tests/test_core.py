@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mplnfa.core
 from mplnfa.core import (
     ALL_MODELS,
     ComponentParams,
@@ -262,3 +268,15 @@ def test_frozen_containers_are_read_only():
     data = make_counts([[0, 1], [2, 3]])
     with pytest.raises(ValueError):
         data.values[0, 0] = 5
+
+
+def test_core_simulate_and_io_import_without_scipy_or_click():
+    # Every public name is imported from its own module; the package root
+    # holds only __version__, so these three load numpy and nothing heavier.
+    code = ("import sys, mplnfa, mplnfa.core, mplnfa.simulate, mplnfa.io\n"
+            "print(mplnfa.__version__)\n"
+            "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'click'}))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(mplnfa.core.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout.split("\n")
+    assert out[:2] == ["0.1.0", "[]"]

@@ -143,6 +143,41 @@ def test_update_m_tiny_gradient_returns_input():
     np.testing.assert_array_equal(again, m_cur)
 
 
+def test_update_m_takes_the_first_step_length_that_passes(rng):
+    # Random means up to a few units off log(y + 1) under S of varied
+    # size: the step S grad is accepted whole, halved to 2^-j, or, when
+    # no step length down to 2^-MAX_HALVINGS keeps the bound terms, not
+    # taken at all.  Each outcome must equal this loop bit for bit.
+    def phi(y, m, s_diag, mu, sigma):
+        rate = np.exp(np.clip(m + 0.5 * s_diag, -stage1.EXP_CLAMP, stage1.EXP_CLAMP))
+        return m @ y - rate.sum() - 0.5 * (m - mu) @ np.linalg.solve(sigma, m - mu)
+
+    seen = set()
+    for _ in range(60):
+        d = int(rng.integers(1, 5))
+        mu = rng.normal(1.0, 1.0, d)
+        sigma = random_spd(rng, d, scale=0.5)
+        y = rng.poisson(np.exp(rng.uniform(0.0, 5.0, d)))
+        m_prev = np.log1p(y) + rng.normal(0.0, 2.0, d)
+        s = 10.0 ** rng.uniform(-3.0, 0.5) * random_spd(rng, d)
+        s_diag = np.diag(s)
+        rate = np.exp(m_prev + 0.5 * s_diag)
+        step = s @ (y - rate - np.linalg.solve(sigma, m_prev - mu))
+        f0 = phi(y, m_prev, s_diag, mu, sigma)
+        ref, outcome = m_prev, "none"
+        for j in range(stage1.MAX_HALVINGS + 1):
+            cand = m_prev + 0.5**j * step
+            f1 = phi(y, cand, s_diag, mu, sigma)
+            if np.isfinite(f1) and f1 >= f0 - 1e-12 * max(1.0, abs(f0)):
+                ref, outcome = cand, "full" if j == 0 else "halved"
+                break
+        got = update_m(y, 1.0, sigma, mu, m_prev, s)
+        np.testing.assert_array_equal(got, ref)
+        assert not np.shares_memory(got, m_prev)
+        seen.add(outcome)
+    assert seen == {"full", "halved", "none"}
+
+
 @given(seed=st.integers(0, 10_000))
 @settings(max_examples=40, deadline=None)
 def test_grad_m_matches_finite_differences(seed):

@@ -21,9 +21,11 @@ into one diff:
 A change that moves fitted values in the last digits breaks that
 identity.  `--values` prints instead every grid entry of every fit's
 `report.json`, one line each: the report, G, K, model, iteration count
-and the final bound at repr precision.  Two such listings agree when
-every line matches except the bound, and the bounds agree to a relative
-tolerance.
+and the final bound at repr precision, then one line of the selected
+fit's guard and clamp counters from its `diagnostics`.  Two such listings
+agree when every line matches except the bound, and the bounds agree to
+a relative tolerance; equal counter lines show that the guards took the
+same decisions.
 """
 
 import argparse
@@ -59,6 +61,10 @@ COMMANDS = (
      "--out-dir", "fit_setting3"],
 )
 
+# Counters of the selected fit's `diagnostics` that `--values` prints.
+COUNTERS = ("exp_clamped", "s_guard_backtracks", "m_guard_backtracks",
+            "sigma_guard_backtracks", "sigma_guard_rejects")
+
 
 def _digest(path):
     data = path.read_bytes()
@@ -74,7 +80,8 @@ def main(argv=None):
     parser.add_argument("--src", default=str(ROOT / "src"),
                         help="source directory of the checkout to run (default: this one)")
     parser.add_argument("--values", action="store_true",
-                        help="print every grid entry's (G, K, model, n_iter, loglik), not digests")
+                        help="print every grid entry's (G, K, model, n_iter, loglik) and the "
+                             "selected fit's guard and clamp counters, not digests")
     args = parser.parse_args(argv)
     env = dict(os.environ, PYTHONPATH=str(Path(args.src).resolve()))
     with tempfile.TemporaryDirectory() as tmp:
@@ -83,9 +90,12 @@ def main(argv=None):
                            cwd=tmp, env=env, check=True, stdout=subprocess.DEVNULL)
         for path in sorted(Path(tmp).rglob("*")):
             if args.values and path.name == "report.json":
-                for e in json.loads(path.read_text(encoding="utf-8"))["grid"]:
+                report = json.loads(path.read_text(encoding="utf-8"))
+                for e in report["grid"]:
                     print(f"{path.relative_to(tmp)}  {e['g']} {e['k']} {e['model']} "
                           f"{e['n_iter']} {e['loglik']!r}")
+                print(f"{path.relative_to(tmp)}  diagnostics "
+                      + " ".join(f"{c}={report['diagnostics'][c]}" for c in COUNTERS))
             elif path.is_file() and not args.values:
                 print(f"{_digest(path)}  {path.relative_to(tmp)}")
     return 0

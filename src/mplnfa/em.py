@@ -302,7 +302,7 @@ def _start(y, logc, x, labels, g, k, model_id):
     s = (np.full((n, g, d), INIT_S_SCALE), np.zeros((n, g, d, k)))
     logdet_s = np.full((n, g), d * np.log(INIT_S_SCALE))  # log|INIT_S_SCALE * I|
     sigma = _sigma_from(lam, psi)
-    caches = _make_caches(y, logc, m, s, mu, sigma, logdet_s)
+    caches = _make_caches(y, logc, x, m, s, mu, sigma, logdet_s)
     f = _assemble_f(caches, sigma[3], d)
     return pi, mu, sigma, m, s, caches, f
 
@@ -363,21 +363,20 @@ def _sigma_from(lam, psi):
     return lam, psi, beta, np.log(psi).sum(-1) + np.linalg.slogdet(core)[1]
 
 
-def _make_caches(y, logc, m, s, mu, sigma, logdet_s):
+def _make_caches(y, logc, x, m, s, mu, sigma, logdet_s):
     """Bound pieces reused across steps within an outer iteration.
 
-    logdet_s (n, G) is log|S| of every block, which the caller knows
-    without factorizing S.
+    logdet_s (n, G) is log|S| of every block, known without factorizing S;
+    pois_const (n,) is what the term of `stage1._poisson_batch` leaves out.
     """
-    rate, clamps = stage1._rates_batch(logc, m, stage1._s_diag(s))
+    rate, pois, clamps = stage1._poisson_batch((y, logc, x), m, stage1._s_diag(s))
     return {
         "rate": rate,
-        "expsum": rate.sum(-1),
+        "pois": pois,
         "quad": stage1._quad_batch(m, mu, sigma),
         "trs": stage1._trace_batch(sigma, s),
         "logdet_s": logdet_s,
-        "my": np.einsum("ngd,nd->ng", m, y),
-        "pois_const": logc * y.sum(1) - gammaln(y + 1.0).sum(1),
+        "pois_const": (y * np.log1p(y) - y - 1.0 - gammaln(y + 1.0)).sum(1),
         "clamps": clamps,
     }
 
@@ -389,9 +388,8 @@ def _assemble_f(caches, sig_logdet, d):
         + 0.5 * caches["logdet_s"]
         - 0.5 * sig_logdet[None, :]
         + 0.5 * d
-        + caches["my"]
+        + caches["pois"]
         + caches["pois_const"][:, None]
-        - caches["expsum"]
     )
 
 
@@ -491,17 +489,15 @@ def _run_em(y, logc, x, labels, g, k, model_id, config):
             diag["empty_component_iteration"] = t
             break
 
-        (s, caches["trs"], caches["logdet_s"], caches["rate"], caches["expsum"],
+        (s, caches["trs"], caches["logdet_s"], caches["rate"], caches["pois"],
          cl, nb) = stage1._update_s_guarded(
-            sigma, logc, m, s, caches["trs"], caches["logdet_s"], caches["expsum"],
+            sigma, (y, logc, x), m, s, caches["trs"], caches["logdet_s"], caches["pois"],
             caches["rate"],
         )
         diag["exp_clamped"] += cl
         diag["s_guard_backtracks"] += nb
-        (m, caches["rate"], caches["expsum"], caches["quad"], caches["my"],
-         cl, nb) = stage1._update_m_guarded(
-            y, logc, sigma, mu, m, s, caches["rate"], caches["expsum"], caches["quad"],
-            caches["my"],
+        (m, caches["rate"], caches["pois"], caches["quad"], cl, nb) = stage1._update_m_guarded(
+            (y, logc, x), sigma, mu, m, s, caches["rate"], caches["pois"], caches["quad"],
         )
         diag["exp_clamped"] += cl
         diag["m_guard_backtracks"] += nb

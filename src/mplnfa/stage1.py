@@ -81,6 +81,11 @@ def _clamped_rate(logc, m, s_diag):
     return np.exp(np.clip(arg, -EXP_CLAMP, EXP_CLAMP))
 
 
+def _plain_poisson(y, logc, m, s_diag):
+    """m'y + log C sum(y) - sum(rates) - sum(log y!), the plain Poisson part."""
+    return m @ y + logc * y.sum() - _clamped_rate(logc, m, s_diag).sum() - gammaln(y + 1.0).sum()
+
+
 def elbo_stage1(y, c, m, s, mu, sigma):
     """Per-observation lower bound on log p(y | component).
 
@@ -109,18 +114,13 @@ def elbo_stage1(y, c, m, s, mu, sigma):
     tr = np.trace(np.linalg.solve(sigma, s))
     logdet_s = 2.0 * np.log(np.diag(ls)).sum()
     logdet_sigma = 2.0 * np.log(np.diag(lsig)).sum()
-    logc = np.log(c)
-    rate = _clamped_rate(logc, m, np.diag(s))
     return (
         -0.5 * quad
         - 0.5 * tr
         + 0.5 * logdet_s
         - 0.5 * logdet_sigma
         + 0.5 * d
-        + m @ y
-        + logc * y.sum()
-        - rate.sum()
-        - gammaln(y + 1.0).sum()
+        + _plain_poisson(y, np.log(c), m, np.diag(s))
     )
 
 
@@ -164,11 +164,9 @@ def update_s(sigma, c, m, s_prev):
 
 
 def _elbo_m_part(y, logc, m, s_diag, mu, sigma):
-    """Terms of the stage-1 bound that depend on the variational mean."""
+    """The stage-1 bound up to terms constant in the variational mean."""
     diff = m - mu
-    quad = diff @ np.linalg.solve(sigma, diff)
-    rate = _clamped_rate(logc, m, s_diag)
-    return m @ y - rate.sum() - 0.5 * quad
+    return _plain_poisson(y, logc, m, s_diag) - 0.5 * diff @ np.linalg.solve(sigma, diff)
 
 
 def update_m(y, c, sigma, mu, m_prev, s_new):
@@ -261,7 +259,7 @@ def update_pi_mu(zhat, m):
 # batched kernels (driver internals)
 # ---------------------------------------------------------------------------
 #
-# Shapes: y (n, d), logc (n,), m (n, G, d), mu (G, d).  A component
+# Shapes: rows obs = (y, logc, x), m (n, G, d), mu (G, d).  A component
 # covariance travels as its factors sigma = (lam, psi, beta, logdet):
 # lam (G, d, K), psi (G, d), beta = lam' sigma^-1 (G, K, d) and
 # log|sigma| (G,), from em._sigma_from.  A variational covariance travels
@@ -321,11 +319,28 @@ def _sig_inv_apply(x, sigma):
     return out
 
 
-def _rates_batch(logc, m, s_diag):
-    """Clamped Poisson rates (n, G, d) plus the clamp-event count."""
-    arg = logc[:, None, None] + m + 0.5 * s_diag
+def _poisson_batch(obs, m, s_diag):
+    """Clamped rates, each pair's Poisson term and the clamp count.
+
+    obs = (y, log C, x = log(y + 1) - log C) are the rows of m and s_diag
+    (n, ..., d).  With e = expm1(m + s/2 - x) at the clamped rate argument,
+    the term sum_j y_j (m_j - x_j - e_j) - e_j is m'y + log C sum(y) - sum(rates)
+    less sum_j (y_j log(y_j + 1) - y_j - 1): the deviance form, whose pieces
+    stay small where those sums are huge and cancel.
+    """
+    y, logc, x = (v.reshape(v.shape[:1] + (1,) * (m.ndim - v.ndim) + v.shape[1:]) for v in obs)
+    half_s = 0.5 * s_diag
+    arg = logc + m
+    arg += half_s
     n_clamped = int(np.count_nonzero(np.abs(arg) > EXP_CLAMP))
-    return np.exp(np.clip(arg, -EXP_CLAMP, EXP_CLAMP)), n_clamped
+    clipped = np.clip(arg, -EXP_CLAMP, EXP_CLAMP) if n_clamped else arg
+    r = m - x
+    e = r + half_s
+    e = np.expm1(e + (clipped - arg) if n_clamped else e, out=e)
+    r -= e
+    # einsum reduces the short last axis several times faster than sum(-1)
+    term = np.einsum("...d,...d->...", r, y) - np.einsum("...d->...", e)
+    return np.exp(clipped, out=clipped), term, n_clamped
 
 
 def _quad_batch(m, mu, sigma):
@@ -430,54 +445,52 @@ def _guard_pairs(phi_old, new, old, at, phi, move=True):
     return n_guarded
 
 
-def _update_s_guarded(sigma, logc, m, s, trs, logdet_s, expsum, rate):
+def _update_s_guarded(sigma, obs, m, s, trs, logdet_s, pois, rate):
     """Batched covariance refresh with an ascent guard.
 
     One application of the fixed-point map S = (sigma^-1 + diag r)^-1 at
     the rates r, built in factor form by `_s_of`.  A pair whose bound
-    terms -tr(sigma^-1 S)/2 + log|S|/2 - sum(rates) decrease tries
+    terms -tr(sigma^-1 S)/2 + log|S|/2 + the Poisson term decrease tries
     S(r / eta) for eta = 1/2, 1/4, ... and keeps its previous S, with
     its cached pieces, if no candidate does better (`_guard_pairs`).
     Takes and returns the cached bound pieces that depend on S; `rate`
-    must be evaluated at (m, diag(s)).
+    and `pois` (`_poisson_batch`) must be evaluated at (m, diag(s)).
 
-    Returns (s_new, trs, logdet_s, rate at (m, s_new), expsum, clamps,
+    Returns (s_new, trs, logdet_s, rate at (m, s_new), pois, clamps,
     n_guarded); clamps counts the clamped rates of the full step's S.
     """
     s_new, logdet_new = _s_of(rate, sigma)
     trs_new = _trace_batch(sigma, s_new)
-    rate_new, clamps = _rates_batch(logc, m, _s_diag(s_new))
-    expsum_new = rate_new.sum(-1)
+    rate_new, pois_new, clamps = _poisson_batch(obs, m, _s_diag(s_new))
 
     def at(eta, i, j):
-        """Objectives and pieces (S, tr(sigma^-1 S), log|S|, rates, their
-        sum) at S(r / eta) of pairs (i, j)."""
+        """Objectives and pieces (S, tr(sigma^-1 S), log|S|, rates,
+        Poisson term) at S(r / eta) of pairs (i, j)."""
         sig_c = _take(sigma, j)
         s_c, logdet_c = _s_of(rate[None, i, j] / eta[:, None], sig_c)
-        rate_c = _clamped_rate(logc[i][:, None], m[i, j], _s_diag(s_c)[0])
-        tr_c, expsum_c = _trace_batch(sig_c, s_c)[0], rate_c.sum(-1)
-        return (-0.5 * tr_c + 0.5 * logdet_c[0] - expsum_c,
-                (s_c[0][0], s_c[1][0], tr_c, logdet_c[0], rate_c, expsum_c))
+        rate_c, pois_c, _ = _poisson_batch(tuple(a[i] for a in obs), m[i, j], _s_diag(s_c)[0])
+        tr_c = _trace_batch(sig_c, s_c)[0]
+        return (-0.5 * tr_c + 0.5 * logdet_c[0] + pois_c,
+                (s_c[0][0], s_c[1][0], tr_c, logdet_c[0], rate_c, pois_c))
 
-    new = (*s_new, trs_new, logdet_new, rate_new, expsum_new)
-    n_guarded = _guard_pairs(-0.5 * trs + 0.5 * logdet_s - expsum, new,
-                             (*s, trs, logdet_s, rate, expsum), at,
-                             -0.5 * trs_new + 0.5 * logdet_new - expsum_new)
-    return s_new, trs_new, logdet_new, rate_new, expsum_new, clamps, n_guarded
+    new = (*s_new, trs_new, logdet_new, rate_new, pois_new)
+    n_guarded = _guard_pairs(-0.5 * trs + 0.5 * logdet_s + pois, new,
+                             (*s, trs, logdet_s, rate, pois), at,
+                             -0.5 * trs_new + 0.5 * logdet_new + pois_new)
+    return s_new, trs_new, logdet_new, rate_new, pois_new, clamps, n_guarded
 
 
-def _update_m_guarded(y, logc, sigma, mu, m, s, rate, expsum, quad, my):
+def _update_m_guarded(obs, sigma, mu, m, s, rate, pois, quad):
     """Batched guarded mean refresh.
 
     Takes the Newton-style step S grad (`_s_apply`); a pair whose bound
-    terms m'y - sum(rates) - (m - mu)' sigma^-1 (m - mu) / 2 decrease
-    halves it (`_guard_pairs`).  The cached pieces `rate` and its sum
-    `expsum` must be evaluated at (m, diag(s)), `quad` at (m, mu) and
-    `my` at m.  Returns (m_new, rate, expsum, quad, my, clamps,
-    n_guarded) with the caches refreshed at m_new.
+    terms, the Poisson term less (m - mu)' sigma^-1 (m - mu) / 2, decrease
+    halves it (`_guard_pairs`).  The cached pieces `rate` and `pois` must be
+    evaluated at (m, diag(s)) and `quad` at (m, mu).  Returns (m_new,
+    rate, pois, quad, clamps, n_guarded) with the caches refreshed at m_new.
     """
     s_diag = _s_diag(s)
-    grad = y[:, None, :] - rate - _sig_inv_apply(m - mu, sigma)
+    grad = obs[0][:, None, :] - rate - _sig_inv_apply(m - mu, sigma)
     if not np.all(np.isfinite(grad)):
         raise NumericalError("non-finite gradient in batched mean update")
     move = np.max(np.abs(grad), axis=-1) >= GRAD_TOL
@@ -485,21 +498,18 @@ def _update_m_guarded(y, logc, sigma, mu, m, s, rate, expsum, quad, my):
     step[~move] = 0.0
 
     m_new = m + step
-    rate_new, clamps = _rates_batch(logc, m_new, s_diag)
-    expsum_new = rate_new.sum(-1)
+    rate_new, pois_new, clamps = _poisson_batch(obs, m_new, s_diag)
     quad_new = _quad_batch(m_new, mu, sigma)
-    my_new = np.einsum("ngd,nd->ng", m_new, y)
 
     def at(eta, i, j):
-        """Objectives and pieces (m, rates, their sum, (m - mu)' sigma^-1
-        (m - mu), m'y) at m + eta S grad of pairs (i, j)."""
+        """Objectives and pieces (m, rates, Poisson term,
+        (m - mu)' sigma^-1 (m - mu)) at m + eta S grad of pairs (i, j)."""
         m_c = m[i, j] + eta[:, None] * step[i, j]
-        rate_c = _clamped_rate(logc[i][:, None], m_c, s_diag[i, j])
+        rate_c, pois_c, _ = _poisson_batch(tuple(a[i] for a in obs), m_c, s_diag[i, j])
         quad_c = _quad_batch(m_c[None], mu[j], _take(sigma, j))[0]
-        expsum_c, my_c = rate_c.sum(-1), np.einsum("bd,bd->b", m_c, y[i])
-        return my_c - expsum_c - 0.5 * quad_c, (m_c, rate_c, expsum_c, quad_c, my_c)
+        return pois_c - 0.5 * quad_c, (m_c, rate_c, pois_c, quad_c)
 
-    new = (m_new, rate_new, expsum_new, quad_new, my_new)
-    n_guarded = _guard_pairs(my - expsum - 0.5 * quad, new, (m, rate, expsum, quad, my), at,
-                             my_new - expsum_new - 0.5 * quad_new, move)
+    new = (m_new, rate_new, pois_new, quad_new)
+    n_guarded = _guard_pairs(pois - 0.5 * quad, new, (m, rate, pois, quad), at,
+                             pois_new - 0.5 * quad_new, move)
     return (*new, clamps, n_guarded)

@@ -11,10 +11,9 @@ form depends on the constraint pattern.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .core import EmptyComponentError, InputError, ModelId, NumericalError
-from .stage1 import EMPTY_TOL, _as_vector, _check_counts, _check_exposure, _chol_spd, _clamped_rate
+from .stage1 import EMPTY_TOL, _as_vector, _check_counts, _check_exposure, _chol_spd, _plain_poisson
 
 __all__ = [
     "Stage2Stats",
@@ -148,8 +147,6 @@ def elbo_stage2(y, c, m, s, mu_g, lam_g, psi_g, p, q):
     lq = _chol_spd(q, "Q")
     q = np.asarray(q, dtype=np.float64)
 
-    logc = np.log(c)
-    rate = _clamped_rate(logc, m, np.diag(s))
     diff = m - mu_g
     psi_inv_diff = diff / psi_g
     lam_p = lam_g @ p
@@ -157,10 +154,7 @@ def elbo_stage2(y, c, m, s, mu_g, lam_g, psi_g, p, q):
     logdet_s = 2.0 * np.log(np.diag(np.linalg.cholesky(s))).sum()
     logdet_q = 2.0 * np.log(np.diag(lq)).sum()
     return (
-        m @ y
-        + logc * y.sum()
-        - rate.sum()
-        - gammaln(y + 1.0).sum()
+        _plain_poisson(y, np.log(c), m, np.diag(s))
         + 0.5 * logdet_s
         + 0.5 * d
         - 0.5 * diff @ psi_inv_diff

@@ -486,6 +486,8 @@ def _degenerate_counts(kind, seed):
 @example(kind="identical", seed=0)
 @example(kind="zero_column", seed=0)
 @example(kind="huge", seed=0)
+@example(kind="huge", seed=1)
+@example(kind="huge", seed=8)
 @example(kind="wide", seed=0)
 @example(kind="tiny", seed=0)
 def test_grid_search_on_degenerate_inputs_fits_or_fails_at_runtime(kind, seed):

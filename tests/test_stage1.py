@@ -295,15 +295,22 @@ def test_alternating_updates_monotone(seed):
 def test_batched_bound_matches_scalar_loop(rng):
     n, g, d = 7, 3, 4
     y = rng.poisson(5.0, (n, d)).astype(np.int64)
+    y[:, 0] = 0  # a zero-count column
     logc = np.log(rng.uniform(0.5, 2.0, n))
     m = rng.normal(1.0, 0.5, (n, g, d))
+    # rate arguments past the exp clamp, above in one pair and below, at a
+    # nonzero count, in another
+    m[2, 1, 1], m[4, 0, 2] = stage1.EXP_CLAMP + 5.0, -stage1.EXP_CLAMP - 5.0
+    y[4, 2] = max(y[4, 2], 1)
     s = np.stack([[random_spd(rng, d, scale=0.05) for _ in range(g)] for _ in range(n)])
     mu = rng.normal(1.0, 0.5, (g, d))
     sig = np.stack([random_spd(rng, d) for _ in range(g)])
     psi, lam = factor_form(sig)
     sigma = em._sigma_from(lam, psi)
-    caches = em._make_caches(y.astype(np.float64), logc, m, factor_form(s), mu, sigma,
+    yf = y.astype(np.float64)
+    caches = em._make_caches(yf, logc, np.log1p(yf) - logc[:, None], m, factor_form(s), mu, sigma,
                              np.linalg.slogdet(s)[1])
+    assert caches["clamps"] == 2
     f = em._assemble_f(caches, sigma[3], d)
     for i in range(n):
         for j in range(g):
@@ -334,10 +341,11 @@ def test_guarded_batch_updates_match_public_functions(rng):
     psi = rng.uniform(0.2, 1.0, (g, d))
     sig = lam @ lam.transpose(0, 2, 1) + psi[:, :, None] * np.eye(d)
     sigma = em._sigma_from(lam, psi)
-    caches = em._make_caches(y, logc, m, s, mu, sigma, np.linalg.slogdet(dense_s(*s))[1])
+    obs = (y, logc, np.log1p(y) - logc[:, None])
+    caches = em._make_caches(*obs, m, s, mu, sigma, np.linalg.slogdet(dense_s(*s))[1])
 
-    s_new, trs, logdet_s, rate, expsum, _, _ = stage1._update_s_guarded(
-        sigma, logc, m, s, caches["trs"], caches["logdet_s"], caches["expsum"], caches["rate"],
+    s_new, trs, logdet_s, rate, pois, _, _ = stage1._update_s_guarded(
+        sigma, obs, m, s, caches["trs"], caches["logdet_s"], caches["pois"], caches["rate"],
     )
     for i in range(n):
         for j in range(g):
@@ -345,8 +353,7 @@ def test_guarded_batch_updates_match_public_functions(rng):
             np.testing.assert_allclose(dense_s(*s_new)[i, j], ref, atol=1e-12)
 
     m_new, *_ = stage1._update_m_guarded(
-        y, logc, sigma, mu, m, s_new, rate, expsum, stage1._quad_batch(m, mu, sigma),
-        np.einsum("ngd,nd->ng", m, y),
+        obs, sigma, mu, m, s_new, rate, pois, stage1._quad_batch(m, mu, sigma),
     )
     for i in range(n):
         for j in range(g):
@@ -356,11 +363,11 @@ def test_guarded_batch_updates_match_public_functions(rng):
     # Means far below log(y + 1) with larger counts: the full step
     # S grad overshoots, so the batched m step halves.
     y = 10.0 * y
+    obs = (y, logc, np.log1p(y) - logc[:, None])
     m = np.log1p(y)[:, None, :].repeat(g, axis=1) - 3.0
-    rate = stage1._rates_batch(logc, m, np.diagonal(dense_s(*s_new), axis1=-2, axis2=-1))[0]
+    rate, pois, _ = stage1._poisson_batch(obs, m, np.diagonal(dense_s(*s_new), axis1=-2, axis2=-1))
     m_new, *_, n_guarded = stage1._update_m_guarded(
-        y, logc, sigma, mu, m, s_new, rate, rate.sum(-1), stage1._quad_batch(m, mu, sigma),
-        np.einsum("ngd,nd->ng", m, y),
+        obs, sigma, mu, m, s_new, rate, pois, stage1._quad_batch(m, mu, sigma),
     )
     assert n_guarded > 0
     for i in range(n):
@@ -369,10 +376,17 @@ def test_guarded_batch_updates_match_public_functions(rng):
             np.testing.assert_allclose(m_new[i, j], ref, atol=1e-10)
 
 
-def _s_phi(sig_inv, logc, m, s):
+def _pois_shift(y, logc, m):
+    """m'y + log C sum(y) less sum_j (y_j log(y_j + 1) - y_j - 1): added to
+    -sum(rates), it gives the Poisson term of `stage1._poisson_batch`."""
+    return m @ y + logc * y.sum() - (y * np.log1p(y) - y - 1.0).sum()
+
+
+def _s_phi(sig_inv, y, logc, m, s):
     """The S-dependent bound terms of one block, with a dense slogdet."""
     rate = np.exp(logc + m + 0.5 * np.diag(s))
-    return -0.5 * np.trace(sig_inv @ s) + 0.5 * np.linalg.slogdet(s)[1] - rate.sum()
+    return (-0.5 * np.trace(sig_inv @ s) + 0.5 * np.linalg.slogdet(s)[1] - rate.sum()
+            + _pois_shift(y, logc, m))
 
 
 def test_s_step_halving_matches_dense_loop():
@@ -388,16 +402,17 @@ def test_s_step_halving_matches_dense_loop():
     psi = 5.0 * rng.uniform(0.2, 1.0, (g, d))
     sigma = em._sigma_from(lam, psi)
     sig_inv = np.linalg.inv(lam @ lam.transpose(0, 2, 1) + psi[:, :, None] * np.eye(d))
-    logc = np.zeros(n)
+    y, logc = np.zeros((n, d)), np.zeros(n)
+    obs = (y, logc, np.log1p(y) - logc[:, None])
     m = -3.0 + rng.uniform(-0.5, 0.5, (n, g, d))
     s = (np.full((n, g, d), 0.01), np.zeros((n, g, d, k)))
     zeros = np.zeros((n, g))
-    rate0 = stage1._rates_batch(logc, m, s[0])[0]
+    rate0 = stage1._poisson_batch(obs, m, s[0])[0]
 
     etas = 0.5 ** np.arange(stage1.MAX_HALVINGS + 1)  # the full step, then the halvings
     cands = np.array([[[np.linalg.inv(sig_inv[j] + np.diag(rate0[i, j] / eta)) for eta in etas]
                        for j in range(g)] for i in range(n)])
-    phis = np.array([[[_s_phi(sig_inv[j], logc[i], m[i, j], c) for c in cands[i, j]]
+    phis = np.array([[[_s_phi(sig_inv[j], y[i], logc[i], m[i, j], c) for c in cands[i, j]]
                       for j in range(g)] for i in range(n)])
     floor = np.empty((n, g))
     floor[0, 0] = phis[0, 0, 0] - 1.0  # the full step passes
@@ -405,9 +420,9 @@ def test_s_step_halving_matches_dense_loop():
         assert phis[i, j, b] > phis[i, j, :b].max() + 1e-3
         floor[i, j] = 0.5 * (phis[i, j, b] + phis[i, j, :b].max())
     floor[1, 0] = phis[1, 0].max() + 1.0  # nothing passes
-    # phi_old = -tr/2 + log|S|/2 - sum(rate), so these caches make it the floor
-    s_new, trs, logdet_s, rate, expsum, _, n_guarded = stage1._update_s_guarded(
-        sigma, logc, m, s, zeros, 2.0 * floor, zeros, rate0,
+    # phi_old = -tr/2 + log|S|/2 + Poisson term, so these caches make it the floor
+    s_new, trs, logdet_s, rate, pois, _, n_guarded = stage1._update_s_guarded(
+        sigma, obs, m, s, zeros, 2.0 * floor, zeros, rate0,
     )
     assert n_guarded == 3
     idx = np.arange(d)
@@ -421,9 +436,10 @@ def test_s_step_halving_matches_dense_loop():
                 assert trs[i, j] == pytest.approx(np.trace(sig_inv[j] @ ref), rel=1e-12)
                 ref_rate = np.exp(logc[i] + m[i, j] + 0.5 * ref[idx, idx])
                 np.testing.assert_allclose(rate[i, j], ref_rate, rtol=1e-12)
-                assert expsum[i, j] == pytest.approx(ref_rate.sum(), rel=1e-12)
+                ref_pois = _pois_shift(y[i], logc[i], m[i, j]) - ref_rate.sum()
+                assert pois[i, j] == pytest.approx(ref_pois, rel=1e-12)
             else:  # the previous S, with the cached pieces it came with
-                for new, old in zip((*s_new, trs, logdet_s, rate, expsum),
+                for new, old in zip((*s_new, trs, logdet_s, rate, pois),
                                     (*s, zeros, 2.0 * floor, rate0, zeros)):
                     np.testing.assert_array_equal(new[i, j], old[i, j])
 
@@ -432,8 +448,8 @@ def test_m_step_halving_matches_dense_loop():
     # Means 3 below log(y + 1) under a large S: the step S grad overshoots
     # the rates' balance point several times over, so the bound terms
     # along m + eta S grad, eta = 1, 1/2, ..., rise at least to
-    # eta = 1/4.  Each pair's cached m'y is set so that its previous
-    # terms are a floor that picks one branch: the full step, the first
+    # eta = 1/4.  Each pair's cached Poisson term is set so that its
+    # previous terms are a floor that picks one branch: the full step, the first
     # halving, the second, or none.
     rng = np.random.default_rng(2)
     n, g, d, k = 2, 2, 3, 2
@@ -448,13 +464,15 @@ def test_m_step_halving_matches_dense_loop():
     s = (np.full((n, g, d), 0.5), rng.normal(0.0, 0.2, (n, g, d, k)))
     s_dense = dense_s(*s)
     idx = np.arange(d)
-    rate0 = stage1._rates_batch(logc, m, s_dense[..., idx, idx])[0]
+    obs = (y, logc, np.log1p(y) - logc[:, None])
+    rate0 = stage1._poisson_batch(obs, m, s_dense[..., idx, idx])[0]
     zeros = np.zeros((n, g))
 
     def terms(i, j, c):
-        """(rates, quad, m'y) of mean c for pair (i, j), densely."""
+        """(rates, quad, Poisson term) of mean c for pair (i, j), densely."""
         rate = np.exp(logc[i] + c + 0.5 * s_dense[i, j][idx, idx])
-        return rate, (c - mu[j]) @ np.linalg.solve(sig[j], c - mu[j]), c @ y[i]
+        return (rate, (c - mu[j]) @ np.linalg.solve(sig[j], c - mu[j]),
+                _pois_shift(y[i], logc[i], c) - rate.sum())
 
     etas = 0.5 ** np.arange(stage1.MAX_HALVINGS + 1)  # the full step, then the halvings
     steps = np.array([[s_dense[i, j] @ (y[i] - rate0[i, j]
@@ -465,17 +483,17 @@ def test_m_step_halving_matches_dense_loop():
     for i in range(n):
         for j in range(g):
             for b, c in enumerate(cands[i, j]):
-                rate, quad, my = terms(i, j, c)
-                phis[i, j, b] = my - rate.sum() - 0.5 * quad
+                _, quad, pois = terms(i, j, c)
+                phis[i, j, b] = pois - 0.5 * quad
     floor = np.empty((n, g))
     floor[0, 0] = phis[0, 0, 0] - 1.0  # the full step passes
     for (i, j), b in (((0, 1), 1), ((1, 1), 2)):  # first passes at eta = 2^-b
         assert phis[i, j, b] > phis[i, j, :b].max() + 1e-3
         floor[i, j] = 0.5 * (phis[i, j, b] + phis[i, j, :b].max())
     floor[1, 0] = phis[1, 0].max() + 1.0  # nothing passes
-    # phi_old = m'y - sum(rate) - quad/2, so these caches make it the floor
-    m_new, rate, expsum, quad, my, _, n_guarded = stage1._update_m_guarded(
-        y, logc, sigma, mu, m, s, rate0, zeros, zeros, floor,
+    # phi_old = Poisson term - quad/2, so these caches make it the floor
+    m_new, rate, pois, quad, _, n_guarded = stage1._update_m_guarded(
+        obs, sigma, mu, m, s, rate0, floor, zeros,
     )
     assert n_guarded == 3
     for i in range(n):
@@ -484,14 +502,13 @@ def test_m_step_halving_matches_dense_loop():
             if len(passed):
                 ref = cands[i, j, passed[0]]
                 np.testing.assert_allclose(m_new[i, j], ref, rtol=1e-12, atol=0)
-                ref_rate, ref_quad, ref_my = terms(i, j, ref)
+                ref_rate, ref_quad, ref_pois = terms(i, j, ref)
                 np.testing.assert_allclose(rate[i, j], ref_rate, rtol=1e-10)
-                assert expsum[i, j] == pytest.approx(ref_rate.sum(), rel=1e-10)
+                assert pois[i, j] == pytest.approx(ref_pois, rel=1e-10)
                 assert quad[i, j] == pytest.approx(ref_quad, rel=1e-10)
-                assert my[i, j] == pytest.approx(ref_my, rel=1e-12)
             else:  # the previous mean, with the cached pieces it came with
-                for new, old in zip((m_new, rate, expsum, quad, my),
-                                    (m, rate0, zeros, zeros, floor)):
+                for new, old in zip((m_new, rate, pois, quad),
+                                    (m, rate0, floor, zeros)):
                     np.testing.assert_array_equal(new[i, j], old[i, j])
 
 
@@ -505,14 +522,15 @@ def test_s_step_counts_only_the_clamps_at_its_new_s():
     lam = rng.normal(0.0, 1.0, (g, d, k))
     psi = rng.uniform(0.2, 1.0, (g, d))
     sigma = em._sigma_from(lam, psi)
-    logc = np.full(n, 690.0)
+    y, logc = np.zeros((n, d)), np.full(n, 690.0)
+    obs = (y, logc, np.log1p(y) - logc[:, None])
     m = np.full((n, g, d), 9.0)
     s = (np.full((n, g, d), 4.0), np.zeros((n, g, d, k)))
-    assert stage1._rates_batch(logc, m, s[0])[1] == n * g * d
-    rate0 = stage1._rates_batch(logc, m, s[0])[0]
+    assert stage1._poisson_batch(obs, m, s[0])[2] == n * g * d
+    rate0 = stage1._poisson_batch(obs, m, s[0])[0]
     zeros = np.zeros((n, g))
     s_new, *_, clamps, n_guarded = stage1._update_s_guarded(
-        sigma, logc, m, s, zeros, np.full((n, g), -np.inf), zeros, rate0,
+        sigma, obs, m, s, zeros, np.full((n, g), -np.inf), zeros, rate0,
     )
     assert n_guarded == 0
     arg = logc[:, None, None] + m + 0.5 * np.diagonal(dense_s(*s_new), axis1=-2, axis2=-1)
@@ -543,15 +561,16 @@ def test_factor_form_s_step_matches_dense_inverse(seed, k):
     n, g, d = 4, 2, 6
     lam, psi, sig = _factor_instance(rng, g, d, k)
     sigma = em._sigma_from(lam, psi)
-    logc = np.zeros(n)
+    y, logc = np.zeros((n, d)), np.zeros(n)
+    obs = (y, logc, np.log1p(y) - logc[:, None])
     # rates exp(m + S_jj / 2) spread over [e^-4, e^8]
     m = rng.uniform(-4.0, 8.0 - 0.05, (n, g, d))
     s = (np.full((n, g, d), 0.1), np.zeros((n, g, d, k)))
     # previous bound terms of -inf, so the ascent guard keeps every entry
     worst = np.full((n, g), -np.inf)
     s_new, _, logdet_s, _, _, _, n_guarded = stage1._update_s_guarded(
-        sigma, logc, m, s, np.zeros((n, g)), worst, np.zeros((n, g)),
-        stage1._rates_batch(logc, m, s[0])[0],
+        sigma, obs, m, s, np.zeros((n, g)), worst, np.zeros((n, g)),
+        stage1._poisson_batch(obs, m, s[0])[0],
     )
     assert n_guarded == 0
     rate = np.exp(m + 0.05)

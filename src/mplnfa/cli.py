@@ -19,6 +19,7 @@ from .core import ALL_MODELS, InputError, ModelId
 from .em import FitConfig, grid_search
 from .evaluate import ari, recovery_report
 from .io import (
+    NORMALIZE_MODES,
     _read_fit_dir,
     _read_truth,
     build_params,
@@ -71,7 +72,7 @@ def _parse_models(text):
 )
 @click.option(
     "--normalize",
-    type=click.Choice(["none", "libsize", "file"]),
+    type=click.Choice(NORMALIZE_MODES),
     default="none",
     show_default=True,
     help="Exposure factors: constant, library-size, or user-supplied.",

@@ -163,6 +163,12 @@ class ModelId:
             + ("C" if self.psi_isotropic else "U")
         )
 
+    def psi_shape(self, g, d):
+        """Free shape of the (G, d) error variances: one row shared by
+        every component if constrained, else G; one column per row if
+        isotropic, else d."""
+        return (1 if self.psi_constrained else g, 1 if self.psi_isotropic else d)
+
     @classmethod
     def from_string(cls, code):
         code = str(code).strip().upper()
@@ -273,18 +279,13 @@ class MixtureModel:
         total = sum(c.pi for c in comps)
         if abs(total - 1.0) > PROB_TOL:
             raise InputError(f"mixing proportions must sum to 1, got {total!r}")
-        if self.model_id.lambda_constrained:
-            for c in comps[1:]:
-                if not np.array_equal(c.lam, comps[0].lam):
-                    raise InputError("constrained loadings must be identical across components")
-        if self.model_id.psi_constrained:
-            for c in comps[1:]:
-                if not np.array_equal(c.psi, comps[0].psi):
-                    raise InputError("constrained error variances must be identical across components")
-        if self.model_id.psi_isotropic:
-            for c in comps:
-                if not np.all(c.psi == c.psi[0]):
-                    raise InputError("isotropic error variances must be constant vectors")
+        lam, psi = np.stack([c.lam for c in comps]), np.stack([c.psi for c in comps])
+        rows, cols = self.model_id.psi_shape(self.g, d)
+        lam_free = lam[:1] if self.model_id.lambda_constrained else lam
+        for full, free in ((lam, lam_free), (psi, psi[:rows, :cols])):
+            if not np.array_equal(full, np.broadcast_to(free, full.shape)):
+                raise InputError(f"parameters break pattern {self.model_id}: constrained ones must "
+                                 "be identical across components, isotropic ones constant")
 
     @property
     def d(self):
@@ -448,21 +449,14 @@ def covariance_param_count(model_id, d, k, g):
     """Free-parameter count of the covariance part of a model.
 
     A single loading matrix contributes d*K - K*(K-1)/2 after fixing
-    the rotational indeterminacy; the error variances contribute G*d,
-    G, d, or 1 depending on the constraints.
+    the rotational indeterminacy; the error variances contribute one
+    per entry of their free shape (`ModelId.psi_shape`).
     """
     d, k, g = _check_dims(model_id, d, k, g)
     per_loading = d * k - k * (k - 1) // 2
     loadings = per_loading if model_id.lambda_constrained else g * per_loading
-    if model_id.psi_constrained and model_id.psi_isotropic:
-        noise = 1
-    elif model_id.psi_constrained:
-        noise = d
-    elif model_id.psi_isotropic:
-        noise = g
-    else:
-        noise = g * d
-    return loadings + noise
+    rows, cols = model_id.psi_shape(g, d)
+    return loadings + rows * cols
 
 
 def total_free_params(model_id, d, k, g):

@@ -18,7 +18,7 @@ from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp, xlogy
+from scipy.special import gammaln, xlogy
 
 from .core import (
     ALL_MODELS,
@@ -45,14 +45,14 @@ __all__ = [
     "grid_search",
 ]
 
-# Initial mixing proportions are floored at 1 / (INIT_PI_FLOOR_SCALE * n).
-INIT_PI_FLOOR_SCALE = 10
 # Floor applied to initial error variances.
 INIT_PSI_FLOOR = 0.05
 # Initial variational covariance scale (S = INIT_S_SCALE * I).
 INIT_S_SCALE = 0.1
 # Reseeding attempts when a k-means start produces an empty cluster.
 KMEANS_RESEEDS = 10
+# Counts above this take the per-count constant in Stirling form.
+STIRLING_SWITCH = 2e5
 
 
 @dataclass(frozen=True)
@@ -231,7 +231,6 @@ def _init_params(x, labels, g, k, model_id):
     psi = np.maximum(psi, INIT_PSI_FLOOR)
 
     pi = counts / n
-    pi = np.maximum(pi, 1.0 / (INIT_PI_FLOOR_SCALE * n))
     pi = pi / pi.sum()
     return pi, mu, lam, psi
 
@@ -376,9 +375,19 @@ def _make_caches(y, logc, x, m, s, mu, sigma, logdet_s):
         "quad": stage1._quad_batch(m, mu, sigma),
         "trs": stage1._trace_batch(sigma, s),
         "logdet_s": logdet_s,
-        "pois_const": (y * np.log1p(y) - y - 1.0 - gammaln(y + 1.0)).sum(1),
+        "pois_const": _count_constant(y).sum(1),
         "clamps": clamps,
     }
+
+
+def _count_constant(y):
+    """y log(y + 1) - y - 1 - log y! of every count: directly (within 2e-10)
+    up to `STIRLING_SWITCH`, above it in Stirling form (within 1e-13),
+    where the direct difference of terms near y log y loses digits."""
+    big = np.maximum(y, STIRLING_SWITCH)
+    stirling = (-0.5 * np.log(2.0 * np.pi * big) + big * np.log1p(1.0 / big) - 1.0
+                - 1.0 / (12.0 * big) + 1.0 / (360.0 * big**3))
+    return np.where(y > STIRLING_SWITCH, stirling, y * np.log1p(y) - y - 1.0 - gammaln(y + 1.0))
 
 
 def _assemble_f(caches, sig_logdet, d):
@@ -391,10 +400,6 @@ def _assemble_f(caches, sig_logdet, d):
         + caches["pois"]
         + caches["pois_const"][:, None]
     )
-
-
-def _total_elbo(pi, f):
-    return float(logsumexp(np.log(pi)[None, :] + f, axis=1).sum())
 
 
 def _s_means(zhat, n_g, s):
@@ -462,7 +467,8 @@ def _run_em(y, logc, x, labels, g, k, model_id, config):
     """Alternate the two stages from a label-based start to convergence."""
     n, d = y.shape
     pi, mu, sigma, m, s, caches, f = _start(y, logc, x, labels, g, k, model_id)
-    trace = [_total_elbo(pi, f)]
+    zhat, bound = stage1._e_step(f, pi)
+    trace = [bound]
 
     diag = {
         "exp_clamped": caches["clamps"],
@@ -476,13 +482,11 @@ def _run_em(y, logc, x, labels, g, k, model_id, config):
         "degenerate": False,
         "empty_component_iteration": None,
     }
-    zhat = None
     converged = False
     n_iter = 0
 
     for t in range(1, config.max_outer + 1):
         n_iter = t
-        zhat = stage1.update_responsibilities(f, pi)
         n_g = zhat.sum(axis=0)
         if np.any(n_g < stage1.EMPTY_TOL):
             diag["degenerate"] = True
@@ -519,16 +523,15 @@ def _run_em(y, logc, x, labels, g, k, model_id, config):
         caches["quad"] = stage1._quad_batch(m, mu, sigma)
         caches["trs"] = stage1._trace_batch(sigma, s)
         f = _assemble_f(caches, sigma[3], d)
-        trace.append(_total_elbo(pi, f))
+        zhat, bound = stage1._e_step(f, pi)
+        trace.append(bound)
         if abs(trace[-1] - trace[-2]) <= config.tol_outer * abs(trace[-2]):
             converged = True
             break
 
-    if not diag["degenerate"]:
-        zhat = stage1.update_responsibilities(f, pi)
-        if np.any(zhat.sum(axis=0) < stage1.EMPTY_TOL):
-            diag["degenerate"] = True
-            diag["empty_component_iteration"] = n_iter
+    if not diag["degenerate"] and np.any(zhat.sum(axis=0) < stage1.EMPTY_TOL):
+        diag["degenerate"] = True
+        diag["empty_component_iteration"] = n_iter
 
     model, state = _model_and_state(g, k, model_id, pi, mu, sigma, m, s, zhat, f)
 

@@ -133,21 +133,11 @@ def generate(config, replicate=0):
 
 
 def _draw_lam_psi(rng, g, d, k, model_id):
-    lo, hi = _LAM_RANGE
-    if model_id.lambda_constrained:
-        lam = np.broadcast_to(rng.uniform(lo, hi, size=(d, k)), (g, d, k)).copy()
-    else:
-        lam = rng.uniform(lo, hi, size=(g, d, k))
-    plo, phi = _PSI_RANGE
-    if model_id.psi_constrained and model_id.psi_isotropic:
-        psi = np.full((g, d), rng.uniform(plo, phi))
-    elif model_id.psi_constrained:
-        psi = np.broadcast_to(rng.uniform(plo, phi, size=d), (g, d)).copy()
-    elif model_id.psi_isotropic:
-        psi = np.repeat(rng.uniform(plo, phi, size=g)[:, None], d, axis=1)
-    else:
-        psi = rng.uniform(plo, phi, size=(g, d))
-    return lam, psi
+    """Loadings and error variances drawn at their free shapes and
+    broadcast to (G, d, K) and (G, d)."""
+    lam = rng.uniform(*_LAM_RANGE, size=(1 if model_id.lambda_constrained else g, d, k))
+    psi = rng.uniform(*_PSI_RANGE, size=model_id.psi_shape(g, d))
+    return np.broadcast_to(lam, (g, d, k)).copy(), np.broadcast_to(psi, (g, d)).copy()
 
 
 _PRESET_TABLES = {

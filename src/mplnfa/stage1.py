@@ -211,13 +211,9 @@ def update_m(y, c, sigma, mu, m_prev, s_new):
 
 
 def update_responsibilities(f, pi):
-    """Posterior component probabilities from per-pair objectives.
-
-    Computes softmax(log pi_g + f_ig) row-wise: each row's maximum is
-    subtracted before exponentiating and the row is divided by its sum,
-    so the result is invariant to adding a per-row constant to f and its
-    rows sum to 1 to rounding even where |f| is huge.
-    """
+    """Posterior component probabilities softmax(log pi_g + f_ig), row-wise
+    and max-shifted (`_e_step`): invariant to adding a per-row constant to
+    f, with rows that sum to 1 to rounding even where |f| is huge."""
     f = np.asarray(f, dtype=np.float64)
     pi = np.asarray(pi, dtype=np.float64)
     if f.ndim != 2:
@@ -228,9 +224,7 @@ def update_responsibilities(f, pi):
         raise InputError("pi must be positive and sum to 1")
     if not np.all(np.isfinite(f)):
         raise InputError("f must be finite")
-    logw = np.log(pi)[None, :] + f
-    w = np.exp(logw - logw.max(axis=1, keepdims=True))
-    return w / w.sum(axis=1, keepdims=True)
+    return _e_step(f, pi)[0]
 
 
 def update_pi_mu(zhat, m):
@@ -269,6 +263,23 @@ def update_pi_mu(zhat, m):
 # back, laid out as one row: per-pair arrays (1, b, ...) and sigma taken
 # at those pairs' components (`_take`).  All kernels are pure functions;
 # em._run_em owns caching of repeated terms.
+
+
+def _e_step(f, pi):
+    """Responsibilities softmax(log pi + f) and the total bound
+    sum_i log sum_g pi_g exp(f_ig) from one max-shifted exponential.  Row
+    i's log-sum-exp is log1p(r_i / c_i) + log c_i + t_i, as in scipy: t_i
+    is its maximum, c_i how often it occurs, r_i the other terms' sum."""
+    if not np.all(np.isfinite(f)):
+        raise NumericalError("non-finite per-pair bound in the E-step")
+    logw = np.log(pi)[None, :] + f
+    top = logw.max(axis=1, keepdims=True)
+    w = np.exp(logw - top)
+    at_top = logw == top
+    count = at_top.sum(axis=1)
+    rest = np.where(at_top, 0.0, w).sum(axis=1) / count
+    bound = float((np.log1p(rest) + np.log(count) + top[:, 0]).sum())
+    return w / w.sum(axis=1, keepdims=True), bound
 
 
 def _take(sigma, comps):

@@ -211,16 +211,16 @@ def _q_from(lam, psi):
 
 def _psi_pattern(model_id, bvec, n_g):
     """Apply the error-variance constraint pattern to per-component
-    raw estimates bvec (G, d)."""
-    g, d = bvec.shape
-    if model_id.psi_constrained:
-        shared = (n_g / n_g.sum()) @ bvec  # (d,)
-        if model_id.psi_isotropic:
-            shared = np.full(d, shared.mean())
-        return np.broadcast_to(shared, (g, d)).copy()
-    if model_id.psi_isotropic:
-        return np.repeat(bvec.mean(axis=1)[:, None], d, axis=1)
-    return bvec.copy()
+    raw estimates bvec (G, d): a shared row is their n_g-weighted mean,
+    an isotropic row its mean entry (`ModelId.psi_shape`)."""
+    psi = np.empty_like(bvec)
+    rows, cols = model_id.psi_shape(*bvec.shape)
+    if rows == 1:
+        bvec = ((n_g / n_g.sum()) @ bvec)[None]
+    if cols == 1:
+        bvec = bvec.mean(axis=1, keepdims=True)
+    psi[...] = bvec
+    return psi
 
 
 def update_lambda_psi(model_id, stats, s_bar, lam, psi, max_inner=MAX_INNER, tol=INNER_TOL):

@@ -196,12 +196,19 @@ def build_mixture(model_code, g=2, d=3, k=1, seed=0):
 
 
 def test_mixture_model_constraint_enforcement():
-    m = build_mixture("CCC")
-    assert str(m.model_id) == "CCC"
-    bad_comps = list(build_mixture("CCC").components)
-    bad_comps[1] = comp(0.5, bad_comps[1].mu, bad_comps[1].lam * 2.0, bad_comps[1].psi)
-    with pytest.raises(InputError):
-        MixtureModel(g=2, k=1, model_id=ModelId.from_string("CCC"), components=tuple(bad_comps))
+    for code in ("CCC", "UCU", "UUC"):
+        m = build_mixture(code)
+        assert str(m.model_id) == code
+        c0, c1 = m.components
+        bad_psi = c1.psi.copy()
+        bad_psi[-1] *= 2.0  # breaks a shared or an isotropic psi row alike
+        breaks = [(c1.lam, bad_psi)]
+        if m.model_id.lambda_constrained:
+            breaks.append((c1.lam * 2.0, c1.psi))
+        for lam, psi in breaks:
+            with pytest.raises(InputError):
+                MixtureModel(g=2, k=1, model_id=m.model_id,
+                             components=(c0, comp(0.5, c1.mu, lam, psi)))
 
 
 def test_mixture_model_pi_must_sum_to_one():

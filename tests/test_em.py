@@ -3,11 +3,13 @@
 import dataclasses
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from mplnfa import em, simulate, stage1, stage2
 from mplnfa.core import ALL_MODELS, InputError, ModelId, NumericalError
@@ -288,6 +290,16 @@ def test_fit_single_trace_is_monotone(rng):
     assert drops.min() >= -1e-6
 
 
+def test_fit_single_bound_and_responsibilities_are_the_e_step_at_the_fit(rng):
+    data, _ = _two_cluster_counts(rng, n=120)
+    fit = fit_single(data, unit_factors(data.n), g=2, k=1,
+                     model_id=ModelId.from_string("UUU"), config=_quick_config())
+    f, pi = fit.state.f, fit.model.pi
+    ref = logsumexp(np.log(pi)[None, :] + f, axis=1).sum()
+    np.testing.assert_allclose(fit.elbo_trace[-1], ref, rtol=1e-13, atol=0)
+    assert np.array_equal(fit.state.zhat, stage1.update_responsibilities(f, pi))
+
+
 def test_fit_single_is_deterministic(rng):
     data, _ = _two_cluster_counts(rng, n=100)
     factors = unit_factors(data.n)
@@ -439,6 +451,30 @@ def test_grid_search_records_failures_and_skips_them(rng, monkeypatch):
     assert grid.best.g == 1
 
 
+def test_grid_search_records_a_non_finite_bound_against_its_triple(rng, monkeypatch):
+    data, factors, _ = _grid_data(rng)
+    real_assemble = em._assemble_f
+    calls = {1: 0, 2: 0}
+
+    def broken(caches, sig_logdet, d):
+        f = real_assemble(caches, sig_logdet, d)
+        g = sig_logdet.shape[0]
+        calls[g] += 1
+        if g == 2 and calls[g] > 1:  # the start is fine; the first iteration's f is not
+            f[0, 1] = np.nan
+        return f
+
+    monkeypatch.setattr(em, "_assemble_f", broken)
+    cfg = _quick_config(g_range=(1, 2), k_range=(1, 1),
+                        models=(ModelId.from_string("UUU"),))
+    grid = grid_search(data, factors, cfg, threads=1)
+    by_g = {e.g: e for e in grid.entries}
+    assert "non-finite" in by_g[2].error
+    assert not np.isfinite(by_g[2].bic)
+    assert by_g[1].error == ""
+    assert grid.best.g == 1
+
+
 def test_grid_search_raises_when_everything_fails(rng, monkeypatch):
     data, factors, _ = _grid_data(rng)
 
@@ -461,6 +497,27 @@ def test_grid_search_fits_counts_near_a_billion():
     out = grid_search(make_counts(y), unit_factors(40), cfg, threads=1)
     assert out.best.g == 1
     assert all(e.error == "" for e in out.entries)
+
+
+# y log(y + 1) - y - 1 - log y! to 50 digits (mpmath), at counts from 0 to 1.2345e15.
+_COUNT_CONSTANTS = {
+    0.0: -1.0,
+    1.0: -1.306852819440054690582768,
+    1e3: -4.373399172942763657347124,
+    1e6: -7.826694395519809794081526,
+    5.7e6: -8.696927001946233054511441,
+    1.2e9: -11.37173223056096674384678,
+    1.2e12: -14.82560986956641027010525,
+    1.2345e15: -18.29365974556156441535821,
+}
+
+
+def test_count_constant_matches_high_precision_values():
+    y = np.array([list(_COUNT_CONSTANTS)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = em._count_constant(y)
+    np.testing.assert_allclose(got[0], list(_COUNT_CONSTANTS.values()), rtol=0, atol=1e-9)
 
 
 def _degenerate_counts(kind, seed):

@@ -533,12 +533,16 @@ def _run_em(y, logc, x, labels, g, k, model_id, config):
         diag["degenerate"] = True
         diag["empty_component_iteration"] = n_iter
 
-    model, state = _model_and_state(g, k, model_id, pi, mu, sigma, m, s, zhat, f)
-
     loglik = trace[-1]
     rho = total_free_params(model_id, d, k, g)
-    bic_val = bic(loglik, rho, n)
-    icl_val = icl(bic_val, zhat)
+    # The input passed its checks before the fit; a fitted state that these
+    # checks reject is this triple's failure, which the grid records.
+    try:
+        model, state = _model_and_state(g, k, model_id, pi, mu, sigma, m, s, zhat, f)
+        bic_val = bic(loglik, rho, n)
+        icl_val = icl(bic_val, zhat)
+    except InputError as exc:
+        raise NumericalError(f"fitted state rejected: {exc}") from exc
     return FitResult(
         g=g,
         k=k,

@@ -9,7 +9,6 @@ by nearest means.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .core import InputError, MixtureModel
 
@@ -65,6 +64,9 @@ def match_components(estimated, truth):
             f"component count/dimension mismatch: ({estimated.g}, {estimated.d}) "
             f"vs ({truth.g}, {truth.d})"
         )
+    # imported here so that `fit` and `simulate` do not load scipy.optimize
+    from scipy.optimize import linear_sum_assignment
+
     cost = ((truth.mu[:, None, :] - estimated.mu[None, :, :]) ** 2).sum(-1)
     rows, cols = linear_sum_assignment(cost)
     perm = np.empty(truth.g, dtype=np.int64)

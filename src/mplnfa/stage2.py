@@ -265,7 +265,7 @@ def update_lambda_psi(model_id, stats, s_bar, lam, psi, max_inner=MAX_INNER, tol
     return lam, psi
 
 
-def _sweep(model_id, w, ws_diag, n_g, eye, lam, psi):
+def _sweep(model_id, w, ws_diag, n_g, eye, lam, psi, objective=True):
     """One application of the inner fixed-point map.
 
     Re-fits the factor regression beta and the factor second moments
@@ -273,7 +273,8 @@ def _sweep(model_id, w, ws_diag, n_g, eye, lam, psi):
     each exactly, so the inner objective never decreases.  ws_diag is
     diag(W_g) + S-bar_g (G, d) and eye the K x K identity, both fixed
     over a loop.  Returns (lam_new, psi_new, objective at the input
-    (lam, psi), floor clamps).
+    (lam, psi), floor clamps); the objective is None, and its
+    log-determinant and residual pass are skipped, if `objective` is false.
 
     The objective is the responsibility-weighted factorized bound with
     the factor posterior at its optimum, plus the constant (K/2) sum n_g.
@@ -287,8 +288,10 @@ def _sweep(model_id, w, ws_diag, n_g, eye, lam, psi):
     wb = w @ beta.transpose(0, 2, 1)  # W_g beta_g', (G, d, K)
     theta = eye - beta @ lam + beta @ wb
     theta = 0.5 * (theta + theta.transpose(0, 2, 1))
-    resid = (ws_diag - np.einsum("gdk,gdk->gd", wb, lam)) / psi + np.log(psi)
-    objective = -0.5 * (n_g @ (resid.sum(-1) + np.linalg.slogdet(core)[1]))
+    obj = None
+    if objective:
+        resid = (ws_diag - np.einsum("gdk,gdk->gd", wb, lam)) / psi + np.log(psi)
+        obj = -0.5 * (n_g @ (resid.sum(-1) + np.linalg.slogdet(core)[1]))
 
     if model_id.lambda_constrained:
         weights = n_g[:, None] / psi  # (G, d)
@@ -324,7 +327,7 @@ def _sweep(model_id, w, ws_diag, n_g, eye, lam, psi):
         below = psi_new < PSI_FLOOR
         floored = int(np.count_nonzero(below))
         psi_new = np.where(below, PSI_FLOOR, psi_new)
-    return lam_new, psi_new, objective, floored
+    return lam_new, psi_new, obj, floored
 
 
 def run_inner_loop(model_id, stats, s_bar, lam, psi, max_inner=MAX_INNER, tol=INNER_TOL):
@@ -367,23 +370,24 @@ def run_inner_loop(model_id, stats, s_bar, lam, psi, max_inner=MAX_INNER, tol=IN
     sweeps = 0
     floored = 0
 
-    def f_map(x):
-        """One map call: (F(x), objective at x, F(x) - x, |F(x) - x|^2,
-        whether lam and psi each moved by less than tol)."""
+    def f_map(x, objective=True):
+        """One map call: (F(x), objective at x or None, F(x) - x,
+        |F(x) - x|^2, whether lam and psi each moved by less than tol)."""
         nonlocal sweeps, floored
         sweeps += 1
-        lam_new, psi_new, objective, fl = _sweep(
-            model_id, w, ws_diag, n_g, eye, x[:n_lam].reshape(g, d, k), x[n_lam:].reshape(g, d)
+        lam_new, psi_new, obj, fl = _sweep(
+            model_id, w, ws_diag, n_g, eye, x[:n_lam].reshape(g, d, k), x[n_lam:].reshape(g, d),
+            objective,
         )
         floored += fl
         x_new = np.concatenate((lam_new, psi_new), axis=None)
         step = x_new - x
         lam2, psi2 = np.add.reduceat(step * step, parts)
-        return x_new, objective, step, lam2 + psi2, lam2 < tol2 and psi2 < tol2
+        return x_new, obj, step, lam2 + psi2, lam2 < tol2 and psi2 < tol2
 
     x0 = np.concatenate((lam, psi), axis=None)
     while True:
-        x1, _, r, rr, small = f_map(x0)
+        x1, _, r, rr, small = f_map(x0, objective=False)  # x0's objective is never read
         if small or sweeps >= max_inner:
             x, converged = x1, small
             break

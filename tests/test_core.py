@@ -287,3 +287,14 @@ def test_core_simulate_and_io_import_without_scipy_or_click():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout.split("\n")
     assert out[:2] == ["0.1.0", "[]"]
+
+
+def test_cli_em_and_evaluate_import_without_scipy_optimize():
+    # Only `evaluate`'s component matching uses scipy.optimize and imports it
+    # when called, so `fit` and `simulate` processes never load it.
+    code = ("import sys, mplnfa.cli, mplnfa.em, mplnfa.evaluate\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(mplnfa.core.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout.split("\n")
+    assert out[0] == "[]"

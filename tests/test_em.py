@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from mplnfa import em, simulate, stage1, stage2
-from mplnfa.core import ALL_MODELS, InputError, ModelId, NumericalError
+from mplnfa.core import ALL_MODELS, InputError, MixtureModel, ModelId, NumericalError
 from mplnfa.em import FitConfig, bic, fit_single, grid_search, icl, initialize
 from mplnfa.evaluate import ari
 from mplnfa.io import NormalizationFactors
@@ -486,6 +486,30 @@ def test_grid_search_raises_when_everything_fails(rng, monkeypatch):
                         models=(ModelId.from_string("UUU"),))
     with pytest.raises(NumericalError):
         grid_search(data, factors, cfg, threads=1)
+
+
+def test_grid_search_records_a_rejected_fitted_state_against_its_triple(rng, monkeypatch):
+    # The checks that build the fitted model raise InputError; a fit that
+    # ends in a state they reject fails its own triples, not the whole grid.
+    data, factors, _ = _grid_data(rng)
+    real_from_arrays = MixtureModel.from_arrays
+
+    def picky(g, *args):
+        if g == 2:
+            raise InputError("synthetic rejection")
+        return real_from_arrays(g, *args)
+
+    monkeypatch.setattr(MixtureModel, "from_arrays", picky)
+    cfg = _quick_config(g_range=(1, 2), k_range=(1, 1),
+                        models=(ModelId.from_string("UUU"), ModelId.from_string("CCC")))
+    grid = grid_search(data, factors, cfg, threads=2)
+    for e in grid.entries:
+        if e.g == 2:
+            assert e.error == "fitted state rejected: synthetic rejection"
+            assert not np.isfinite(e.bic)
+        else:
+            assert e.error == ""
+    assert grid.best.g == 1
 
 
 

@@ -3,15 +3,17 @@
 import csv
 import dataclasses
 import json
+import types
 
 import numpy as np
 import pytest
 
-from mplnfa.core import ALL_MODELS, InputError, ModelId
+from mplnfa.core import ALL_MODELS, InputError, ModelId, NormalizationFactors
 from mplnfa.em import FitConfig, grid_search
 from mplnfa.io import (
     _model_dict,
     _model_from_dict,
+    _write_rows,
     build_report,
     read_counts,
     read_factors_file,
@@ -273,6 +275,40 @@ def test_write_plot_data(tmp_path, small_grid):
     assert len(rows) == 1 + data.n * data.d
     x00 = np.log1p(data.values[0, 0]) - np.log(factors.c[0])
     assert float(rows[1][3]) == pytest.approx(x00, rel=1e-9)
+
+
+def test_streamed_writers_match_csv_writer_bytes(tmp_path):
+    # The long artifacts join their lines themselves; they must be the bytes
+    # `csv.writer` writes for the same cells, ids that need quoting included.
+    sample_ids = ("a,b", 'say "hi"', "line\nbreak", " lead", "", "plain", "cr\rx")
+    var_ids = ("v,1", '"q"', " w", "v\n4")
+    n, d = len(sample_ids), len(var_ids)
+    data = make_counts(np.arange(n * d).reshape(n, d) % 5, sample_ids, var_ids)
+    factors = NormalizationFactors(np.array([1.0, 1e-300, 3.0, 0.5, 1e300, 7.0, 2.0]))
+    zhat = np.array([[1e-300, 1.0, 0.0], [1e300, 0.0, -2.5], [1 / 3, 2 / 3, 0.0],
+                     [0.0, 1e-5, 123456.789], [5e-324, 1.0, 0.1], [0.5, 0.25, 0.25],
+                     [np.pi, np.e, 1e17]])
+    labels = np.array([1, 0, 1, 2, 0, 2, 1])
+    fit = types.SimpleNamespace(state=types.SimpleNamespace(zhat=zhat), assignments=labels)
+    x = np.log1p(data.values.astype(np.float64)) - np.log(factors.c)[:, None]
+    expected = {
+        "assign.csv": (["sample_id", "cluster", "posterior"],
+                       [[s, int(g), f"{zhat[i, g]:.10g}"]
+                        for i, (s, g) in enumerate(zip(sample_ids, labels))]),
+        "post.csv": (["sample_id", "g0", "g1", "g2"],
+                     [[s, *(f"{v:.10g}" for v in zhat[i])] for i, s in enumerate(sample_ids)]),
+        "plot.csv": (["sample_id", "cluster", "variable", "value"],
+                     [[s, int(labels[i]), v, f"{x[i, j]:.10g}"]
+                      for i, s in enumerate(sample_ids) for j, v in enumerate(var_ids)]),
+    }
+    write_assignments(tmp_path / "assign.csv", data, fit)
+    write_posteriors(tmp_path / "post.csv", data, fit)
+    write_plot_data(tmp_path / "plot.csv", data, factors, fit)
+    for name, (header, rows) in expected.items():
+        _write_rows(tmp_path / f"ref_{name}", header, rows)
+        assert (tmp_path / name).read_bytes() == (tmp_path / f"ref_{name}").read_bytes(), name
+    with open(tmp_path / "plot.csv", newline="", encoding="utf-8") as fh:
+        assert [r[0] for r in list(csv.reader(fh))[1::d]] == list(sample_ids)
 
 
 @pytest.mark.parametrize("model_id", ALL_MODELS, ids=str)

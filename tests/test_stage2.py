@@ -284,6 +284,21 @@ def test_sweep_objective_is_the_aggregated_bound(rng, mid):
         assert objective - 0.5 * k * stats.n_g.sum() == pytest.approx(ref, rel=1e-10)
 
 
+@pytest.mark.parametrize("mid", ALL_MODELS, ids=str)
+def test_sweep_without_objective_returns_the_same_bits(rng, mid):
+    # the loop skips the objective where it is not read; the map's output
+    # and floor count must not depend on whether it was computed
+    for _ in range(5):
+        g, d, k = int(rng.integers(1, 4)), int(rng.integers(3, 7)), int(rng.integers(1, 3))
+        stats, s_bar, lam, psi = random_stats(rng, g, d, k, mid)
+        ws_diag = np.diagonal(stats.w, axis1=1, axis2=2) + s_bar
+        args = (mid, stats.w, ws_diag, stats.n_g, np.eye(k), lam, psi)
+        lam_a, psi_a, obj_a, fl_a = stage2._sweep(*args)
+        lam_b, psi_b, obj_b, fl_b = stage2._sweep(*args, objective=False)
+        assert np.isfinite(obj_a) and obj_b is None and fl_a == fl_b
+        assert lam_a.tobytes() == lam_b.tobytes() and psi_a.tobytes() == psi_b.tobytes()
+
+
 @given(seed=st.integers(0, 5_000))
 @settings(max_examples=20, deadline=None)
 def test_accelerated_loop_ascends_to_the_plain_fixed_point(seed):

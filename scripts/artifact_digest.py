@@ -12,11 +12,11 @@ The echoed `threads` is dropped from `report.json` before hashing; the
 rest of every artifact is hashed as written.
 
 Running it on two checkouts turns "the CLI artifacts are byte-identical"
-into one command: save one checkout's listing and compare the other's
-with it, which prints the differing lines and exits 1 if there are any:
+into one diff:
 
+    python3 scripts/artifact_digest.py > after.txt
     python3 scripts/artifact_digest.py --src ../parent/src > before.txt
-    python3 scripts/artifact_digest.py --against before.txt
+    diff before.txt after.txt
 
 A change that moves fitted values in the last digits breaks that
 identity.  `--values` prints instead every grid entry of every fit's
@@ -24,9 +24,8 @@ identity.  `--values` prints instead every grid entry of every fit's
 and the final bound at repr precision, then one line of the selected
 fit's guard and clamp counters from its `diagnostics`.  Two such listings
 agree when every line matches except the bound, and the bounds agree to
-a relative tolerance (`--values --against FILE --rtol R`; exact by
-default); equal counter lines show that the guards took the same
-decisions.
+a relative tolerance; equal counter lines show that the guards took the
+same decisions.
 """
 
 import argparse
@@ -36,7 +35,6 @@ import os
 import subprocess
 import sys
 import tempfile
-from itertools import zip_longest
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -77,51 +75,6 @@ def _digest(path):
     return hashlib.sha256(data).hexdigest()
 
 
-def _listing(src, values):
-    """The lines this script prints for the checkout whose source is `src`."""
-    env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()))
-    lines = []
-    with tempfile.TemporaryDirectory() as tmp:
-        for command in COMMANDS:
-            subprocess.run([sys.executable, "-m", "mplnfa", *command],
-                           cwd=tmp, env=env, check=True, stdout=subprocess.DEVNULL)
-        for path in sorted(Path(tmp).rglob("*")):
-            if values and path.name == "report.json":
-                report = json.loads(path.read_text(encoding="utf-8"))
-                for e in report["grid"]:
-                    lines.append(f"{path.relative_to(tmp)}  {e['g']} {e['k']} {e['model']} "
-                                 f"{e['n_iter']} {e['loglik']!r}")
-                lines.append(f"{path.relative_to(tmp)}  diagnostics "
-                             + " ".join(f"{c}={report['diagnostics'][c]}" for c in COUNTERS))
-            elif path.is_file() and not values:
-                lines.append(f"{_digest(path)}  {path.relative_to(tmp)}")
-    return lines
-
-
-def _same(saved, fresh, rtol):
-    """Whether two listing lines agree: exactly, or, with a tolerance
-    `rtol`, in every field but the last and in the last (a grid line's
-    bound) as numbers within `rtol` of the saved one's magnitude."""
-    if saved == fresh:
-        return True
-    if rtol is None:
-        return False
-    head, _, a = saved.rpartition(" ")
-    fresh_head, _, b = fresh.rpartition(" ")
-    try:
-        a, b = float(a), float(b)
-    except ValueError:  # a counter line, or a bound that is None
-        return False
-    return head == fresh_head and abs(a - b) <= rtol * abs(a)
-
-
-def compare(saved, fresh, rtol=None):
-    """[(line number, saved line, fresh line)] of every line that differs;
-    a line that only one listing has pairs with None."""
-    return [(i, a, b) for i, (a, b) in enumerate(zip_longest(saved, fresh), start=1)
-            if a is None or b is None or not _same(a, b, rtol)]
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default=str(ROOT / "src"),
@@ -129,28 +82,23 @@ def main(argv=None):
     parser.add_argument("--values", action="store_true",
                         help="print every grid entry's (G, K, model, n_iter, loglik) and the "
                              "selected fit's guard and clamp counters, not digests")
-    parser.add_argument("--against", metavar="FILE",
-                        help="compare with a listing saved from this script; print the lines "
-                             "that differ and exit 1 if any do")
-    parser.add_argument("--rtol", type=float, default=None,
-                        help="with --values --against: relative tolerance on the bounds "
-                             "(default: exact)")
     args = parser.parse_args(argv)
-    if args.rtol is not None and not (args.values and args.against):
-        parser.error("--rtol applies only to --values --against")
-    if args.rtol is not None and not args.rtol >= 0:
-        parser.error("--rtol must be nonnegative")
-    if args.against:
-        saved = Path(args.against).read_text(encoding="utf-8").splitlines()
-    lines = _listing(args.src, args.values)
-    if not args.against:
-        print("\n".join(lines))
-        return 0
-    diffs = compare(saved, lines, args.rtol)
-    for i, a, b in diffs:
-        print(f"line {i}:\n  saved {a}\n  fresh {b}")
-    print(f"{len(diffs)} of {max(len(saved), len(lines))} lines differ from {args.against}")
-    return 1 if diffs else 0
+    env = dict(os.environ, PYTHONPATH=str(Path(args.src).resolve()))
+    with tempfile.TemporaryDirectory() as tmp:
+        for command in COMMANDS:
+            subprocess.run([sys.executable, "-m", "mplnfa", *command],
+                           cwd=tmp, env=env, check=True, stdout=subprocess.DEVNULL)
+        for path in sorted(Path(tmp).rglob("*")):
+            if args.values and path.name == "report.json":
+                report = json.loads(path.read_text(encoding="utf-8"))
+                for e in report["grid"]:
+                    print(f"{path.relative_to(tmp)}  {e['g']} {e['k']} {e['model']} "
+                          f"{e['n_iter']} {e['loglik']!r}")
+                print(f"{path.relative_to(tmp)}  diagnostics "
+                      + " ".join(f"{c}={report['diagnostics'][c]}" for c in COUNTERS))
+            elif path.is_file() and not args.values:
+                print(f"{_digest(path)}  {path.relative_to(tmp)}")
+    return 0
 
 
 if __name__ == "__main__":

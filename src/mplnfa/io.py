@@ -14,7 +14,6 @@ import csv
 import hashlib
 import json
 from dataclasses import fields
-from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -160,29 +159,6 @@ def _write_rows(path, header, rows):
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
-
-
-def _quoted(ids):
-    """Each id as `csv.writer` writes it in a row of several fields."""
-    buf = StringIO()
-    writer = csv.writer(buf)
-    out = []
-    for field in ids:
-        writer.writerow((field, ""))
-        out.append(buf.getvalue()[:-3])  # less the empty field's "," and the "\r\n"
-        buf.seek(0)
-        buf.truncate()
-    return out
-
-
-def _write_lines(path, header, lines):
-    """Write a UTF-8 CSV as `_write_rows` would: the header row, then
-    `lines`, each a row already joined from `_quoted` ids and numbers
-    and ending in "\r\n".  The long artifacts stream this way, since
-    `csv.writer` costs more than the formatting of their floats."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow(header)
-        fh.writelines(lines)
 
 
 def write_counts(path, data):
@@ -345,17 +321,17 @@ def write_assignments(path, data, fit):
     """sample_id, hard cluster, and its posterior probability."""
     labels = fit.assignments
     post = fit.state.zhat[np.arange(labels.shape[0]), labels]
-    _write_lines(path, ["sample_id", "cluster", "posterior"],
-                 (f"{sid},{g},{v:.10g}\r\n"
-                  for sid, g, v in zip(_quoted(data.sample_ids), labels.tolist(), post.tolist())))
+    _write_rows(path, ["sample_id", "cluster", "posterior"],
+                ([sid, g, f"{v:.10g}"]
+                 for sid, g, v in zip(data.sample_ids, labels.tolist(), post.tolist())))
 
 
 def write_posteriors(path, data, fit):
     """Full responsibility matrix, one row per sample."""
     zhat = fit.state.zhat
-    _write_lines(path, ["sample_id", *(f"g{j}" for j in range(zhat.shape[1]))],
-                 (sid + "".join([f",{v:.10g}" for v in row]) + "\r\n"
-                  for sid, row in zip(_quoted(data.sample_ids), zhat.tolist())))
+    _write_rows(path, ["sample_id", *(f"g{j}" for j in range(zhat.shape[1]))],
+                ([sid, *[f"{v:.10g}" for v in row]]
+                 for sid, row in zip(data.sample_ids, zhat.tolist())))
 
 
 def write_traces(path, entries):
@@ -368,9 +344,7 @@ def write_traces(path, entries):
 def write_plot_data(path, data, factors, fit):
     """Long-format exposure-adjusted log counts with cluster labels."""
     x = np.log1p(data.values.astype(np.float64)) - np.log(factors.c)[:, None]
-    var_ids = _quoted(data.var_ids)
-    _write_lines(path, ["sample_id", "cluster", "variable", "value"],
-                 (f"{sid},{g},{vid},{v:.10g}\r\n"
-                  for sid, g, row in zip(_quoted(data.sample_ids), fit.assignments.tolist(),
-                                         x.tolist())
-                  for vid, v in zip(var_ids, row)))
+    _write_rows(path, ["sample_id", "cluster", "variable", "value"],
+                ([sid, g, vid, f"{v:.10g}"]
+                 for sid, g, row in zip(data.sample_ids, fit.assignments.tolist(), x.tolist())
+                 for vid, v in zip(data.var_ids, row)))

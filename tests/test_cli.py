@@ -1,9 +1,7 @@
 """Command-line interface: pipeline wiring, exit codes, and rerun stability."""
 
-import importlib.util
 import json
 import shutil
-from pathlib import Path
 
 import pytest
 
@@ -310,36 +308,3 @@ def test_fit_whose_every_fitted_state_is_rejected_exits_two(tmp_path, capsys, mo
     assert fit_small(sim / "counts_r000.csv", tmp_path / "fit") == 2
     assert "failure:" in capsys.readouterr().err
 
-
-def _load_artifact_digest():
-    path = Path(__file__).resolve().parents[1] / "scripts" / "artifact_digest.py"
-    spec = importlib.util.spec_from_file_location("artifact_digest", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_artifact_digest_against_names_the_differing_lines(tmp_path, capsys, monkeypatch):
-    digest = _load_artifact_digest()
-    saved = ["a/report.json  2 1 UUU 14 -1234.5678901234",
-             "a/report.json  3 1 UUU 0 None",
-             "a/report.json  diagnostics exp_clamped=0 sigma_guard_rejects=2"]
-    assert digest.compare(saved, list(saved)) == []
-    moved = ["a/report.json  2 1 UUU 14 -1234.5678901235", *saved[1:]]
-    assert digest.compare(saved, moved) == [(1, saved[0], moved[0])]
-    assert digest.compare(saved, moved, rtol=1e-12) == []
-    assert digest.compare(saved, moved, rtol=1e-15) == [(1, saved[0], moved[0])]
-    # every field but the bound compares exactly, whatever the tolerance
-    other = ["a/report.json  2 1 UUU 15 -1234.5678901234",
-             "a/report.json  3 1 UUU 0 -1.0",
-             "a/report.json  diagnostics exp_clamped=0 sigma_guard_rejects=3"]
-    assert [i for i, _, _ in digest.compare(saved, other, rtol=1.0)] == [1, 2, 3]
-    assert digest.compare(saved, saved[:2]) == [(3, saved[2], None)]
-
-    listing = tmp_path / "saved.txt"
-    listing.write_text("\n".join(saved) + "\n", encoding="utf-8")
-    monkeypatch.setattr(digest, "_listing", lambda src, values: moved)
-    assert digest.main(["--values", "--against", str(listing), "--rtol", "1e-12"]) == 0
-    assert digest.main(["--values", "--against", str(listing)]) == 1
-    out = capsys.readouterr().out
-    assert "line 1:" in out and moved[0] in out and "1 of 3 lines differ" in out

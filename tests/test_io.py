@@ -277,9 +277,10 @@ def test_write_plot_data(tmp_path, small_grid):
     assert float(rows[1][3]) == pytest.approx(x00, rel=1e-9)
 
 
-def test_streamed_writers_match_csv_writer_bytes(tmp_path):
-    # The long artifacts join their lines themselves; they must be the bytes
-    # `csv.writer` writes for the same cells, ids that need quoting included.
+def test_long_writers_match_per_cell_rows(tmp_path):
+    # The long artifacts format `tolist()` floats row by row; they must write
+    # the bytes of rows built one numpy cell at a time, with ids that need
+    # quoting and extreme values included.
     sample_ids = ("a,b", 'say "hi"', "line\nbreak", " lead", "", "plain", "cr\rx")
     var_ids = ("v,1", '"q"', " w", "v\n4")
     n, d = len(sample_ids), len(var_ids)

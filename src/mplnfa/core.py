@@ -434,6 +434,14 @@ def assemble_sigma(component):
     return sig
 
 
+def _check_seed(seed):
+    """`seed` as an int; numpy's generators refuse negative seeds."""
+    seed = int(seed)
+    if seed < 0:
+        raise InputError(f"seed must be a non-negative integer, got {seed}")
+    return seed
+
+
 def _check_dims(model_id, d, k, g):
     if not isinstance(model_id, ModelId):
         raise InputError("model_id must be a ModelId")

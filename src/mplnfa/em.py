@@ -29,6 +29,7 @@ from .core import (
     NormalizationFactors,
     NumericalError,
     VariationalState,
+    _check_seed,
     total_free_params,
 )
 from . import stage1, stage2
@@ -95,7 +96,7 @@ class FitConfig:
         if not (float(self.tol_outer) > 0):
             raise InputError("tol_outer must be positive")
         object.__setattr__(self, "tol_outer", float(self.tol_outer))
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", _check_seed(self.seed))
 
 
 @dataclass(frozen=True)
@@ -429,7 +430,7 @@ def _sigma_bound_part(sigma, a_bar, n_g):
     return float(-0.5 * np.dot(n_g, tr + sig_logdet))
 
 
-def _guarded_sigma_step(model_id, a_bar, stats, s_bar, sigma):
+def _guarded_sigma_step(model_id, a_bar, w, n_g, s_bar, sigma):
     """Run the covariance inner loop, accepting only bound-ascending steps.
 
     The inner loop maximizes the factorized objective, which near a fixed
@@ -440,11 +441,10 @@ def _guarded_sigma_step(model_id, a_bar, stats, s_bar, sigma):
     values (`_sigma_from`), the inner-loop info dict, and guard counters.
     """
     lam, psi = sigma[:2]
-    n_g = stats.n_g
     j_old = _sigma_bound_part(sigma, a_bar, n_g)
     slack = 1e-9 * max(1.0, abs(j_old))
 
-    lam_new, psi_new, info = stage2.run_inner_loop(model_id, stats, s_bar, lam, psi)
+    lam_new, psi_new, info = stage2.run_inner_loop(model_id, w, n_g, s_bar, lam, psi)
     new = _sigma_from(lam_new, psi_new)
     if _sigma_bound_part(new, a_bar, n_g) >= j_old - slack:
         return *new, info, 0, False
@@ -508,11 +508,9 @@ def _run_em(y, logc, x, labels, g, k, model_id, config):
 
         pi, mu = stage1.update_pi_mu(zhat, m)
 
-        stats = stage2.make_stage2_stats(zhat, m, mu)
+        w = stage2.make_stage2_stats(zhat, m, mu)
         s_bar, mean_s = _s_means(zhat, n_g, s)
-        *sigma, info, nb, rej = _guarded_sigma_step(
-            model_id, stats.w + mean_s, stats, s_bar, sigma
-        )
+        *sigma, info, nb, rej = _guarded_sigma_step(model_id, w + mean_s, w, n_g, s_bar, sigma)
         diag["psi_floored"] += info["psi_floored"]
         diag["stage2_sweeps_last"] = info["sweeps"]
         diag["sigma_guard_backtracks"] += nb

@@ -147,7 +147,8 @@ def read_factors_file(path, sample_ids):
     missing = [s for s in sample_ids if s not in table]
     if missing:
         raise InputError(f"{path}: missing factors for samples {missing[:5]!r}")
-    extra = [s for s in table if s not in set(sample_ids)]
+    known = set(sample_ids)
+    extra = [s for s in table if s not in known]
     if extra:
         raise InputError(f"{path}: factors for unknown samples {extra[:5]!r}")
     return NormalizationFactors(np.array([table[s] for s in sample_ids]))

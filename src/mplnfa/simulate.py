@@ -18,6 +18,7 @@ from .core import (
     MixtureModel,
     ModelId,
     NumericalError,
+    _check_seed,
 )
 
 __all__ = ["SimulationConfig", "generate", "preset", "random_config", "PRESET_NAMES"]
@@ -63,7 +64,7 @@ class SimulationConfig:
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "k", k)
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", _check_seed(self.seed))
         pi = np.asarray(self.pi, dtype=np.float64)
         mu = np.asarray(self.mu, dtype=np.float64)
         lam = np.asarray(self.lam, dtype=np.float64)
@@ -218,11 +219,12 @@ def random_config(n, d, g, k, model_id, seed, mu_range=(1.0, 7.0)):
     ranges the presets use, all honouring the constraint pattern.
     """
     model_id = model_id if isinstance(model_id, ModelId) else ModelId.from_string(model_id)
-    rng = np.random.default_rng([int(seed), 9_0001])
+    seed = _check_seed(seed)
+    rng = np.random.default_rng([seed, 9_0001])
     raw = rng.uniform(0.5, 1.5, size=g)
     pi = raw / raw.sum()
     mu = rng.uniform(mu_range[0], mu_range[1], size=(g, d))
     lam, psi = _draw_lam_psi(rng, g, d, k, model_id)
     return SimulationConfig(
-        n=n, d=d, g=g, k=k, model_id=model_id, pi=pi, mu=mu, lam=lam, psi=psi, seed=int(seed)
+        n=n, d=d, g=g, k=k, model_id=model_id, pi=pi, mu=mu, lam=lam, psi=psi, seed=seed
     )

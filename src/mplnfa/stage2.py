@@ -8,22 +8,17 @@ error variances are re-estimated by an inner fixed-point loop whose
 form depends on the constraint pattern.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import EmptyComponentError, InputError, ModelId, NumericalError
 from .stage1 import EMPTY_TOL, _as_vector, _check_counts, _check_exposure, _chol_spd, _plain_poisson
 
 __all__ = [
-    "Stage2Stats",
-    "Stage2NonConvergence",
-    "compute_w",
     "make_stage2_stats",
     "update_q",
     "update_p",
     "elbo_stage2",
-    "update_lambda_psi",
+    "run_inner_loop",
 ]
 
 # Error variances are clamped here after each inner sweep.
@@ -34,66 +29,6 @@ PSI_DEGENERATE = 1e-12
 INNER_TOL = 1e-6
 # Inner-loop sweep cap.
 MAX_INNER = 500
-
-
-class Stage2NonConvergence(NumericalError):
-    """Inner loop hit its sweep cap; carries the last iterate."""
-
-    def __init__(self, lam, psi, sweeps):
-        super().__init__(f"loading/variance loop did not converge in {sweeps} sweeps")
-        self.lam = lam
-        self.psi = psi
-        self.sweeps = sweeps
-
-
-@dataclass(frozen=True)
-class Stage2Stats:
-    """Per-component sufficient statistics for the covariance updates.
-
-    The factor regression and the factor second moments depend on the
-    loadings, so the inner loop refits them every sweep (`_sweep`).
-
-    Fields
-    ------
-    w : (G, d, d) array
-        Responsibility-weighted scatter of the variational means.
-    n_g : (G,) array
-        Effective component sizes, positive.
-    """
-
-    w: np.ndarray
-    n_g: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.w, dtype=np.float64)
-        n_g = np.asarray(self.n_g, dtype=np.float64)
-        if w.ndim != 3 or w.shape[1] != w.shape[2]:
-            raise InputError("w must be (G, d, d)")
-        if n_g.shape != (w.shape[0],) or np.any(n_g <= 0):
-            raise InputError("n_g must be positive with length G")
-        if not np.allclose(w, w.transpose(0, 2, 1), rtol=0, atol=1e-8):
-            raise InputError("w matrices must be symmetric")
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "n_g", n_g)
-
-
-def compute_w(zhat_g, m_g, mu_g):
-    """Weighted scatter W_g of variational means around the component mean."""
-    zhat_g = np.asarray(zhat_g, dtype=np.float64)
-    m_g = np.asarray(m_g, dtype=np.float64)
-    mu_g = np.asarray(mu_g, dtype=np.float64)
-    if zhat_g.ndim != 1 or m_g.ndim != 2 or m_g.shape[0] != zhat_g.shape[0]:
-        raise InputError("zhat_g must be (n,) and m_g must be (n, d)")
-    if mu_g.shape != (m_g.shape[1],):
-        raise InputError("mu_g must be a length-d vector")
-    if np.any(zhat_g < 0):
-        raise InputError("responsibilities must be nonnegative")
-    n_g = zhat_g.sum()
-    if n_g < EMPTY_TOL:
-        raise EmptyComponentError(f"effective component size {n_g:.3g} too small")
-    v = m_g - mu_g[None, :]
-    w = np.einsum("n,nd,ne->de", zhat_g, v, v) / n_g
-    return 0.5 * (w + w.T)
 
 
 def update_q(lam_g, psi_g):
@@ -171,9 +106,9 @@ def elbo_stage2(y, c, m, s, mu_g, lam_g, psi_g, p, q):
 
 
 def make_stage2_stats(zhat, m, mu):
-    """Assemble `Stage2Stats`: the scatter W_g of the variational means
-    (n, G, d) around the component means mu (G, d), weighted by the
-    responsibilities zhat (n, G), and the effective sizes n_g."""
+    """The scatter W (G, d, d) of the variational means m (n, G, d)
+    around the component means mu (G, d), weighted by the
+    responsibilities zhat (n, G) and divided by the effective sizes."""
     zhat = np.asarray(zhat, dtype=np.float64)
     m = np.asarray(m, dtype=np.float64)
     mu = np.asarray(mu, dtype=np.float64)
@@ -182,8 +117,7 @@ def make_stage2_stats(zhat, m, mu):
         raise EmptyComponentError("empty component in second-stage statistics")
     v = np.swapaxes(m - mu[None], 0, 1)  # (G, n, d)
     w = (np.swapaxes(v * zhat.T[..., None], 1, 2) @ v) / n_g[:, None, None]
-    w = 0.5 * (w + w.transpose(0, 2, 1))
-    return Stage2Stats(w=w, n_g=n_g)
+    return 0.5 * (w + w.transpose(0, 2, 1))
 
 
 def _factor_core(lam, psi):
@@ -221,48 +155,6 @@ def _psi_pattern(model_id, bvec, n_g):
         bvec = bvec.mean(axis=1, keepdims=True)
     psi[...] = bvec
     return psi
-
-
-def update_lambda_psi(model_id, stats, s_bar, lam, psi, max_inner=MAX_INNER, tol=INNER_TOL):
-    """Inner fixed-point loop for loadings and error variances.
-
-    Runs the factor-analysis map (one sweep of exact block-coordinate
-    ascent per call) to its fixed point.  SQUAREM steps extrapolate
-    along the map's path; a step is taken only if it keeps every psi at
-    or above PSI_FLOOR and does not lower the inner objective, so the
-    result is the plain map's fixed point in fewer sweeps (see
-    `run_inner_loop`).
-
-    Parameters
-    ----------
-    model_id : ModelId
-        Constraint pattern to enforce.
-    stats : Stage2Stats
-        Scatter matrices and effective sizes.
-    s_bar : (G, d) array
-        Responsibility-weighted means of the variational covariance
-        diagonals.
-    lam, psi : (G, d, K), (G, d) arrays
-        Warm-start values; must already satisfy the pattern.
-    max_inner : int
-        Budget of map calls ("sweeps"), including the calls made at
-        extrapolated points; 1 gives exactly one plain sweep.
-    tol : float
-        Convergence threshold on the Frobenius norms of the change in
-        lam and in psi over one map call.
-
-    Returns
-    -------
-    (lam, psi) with the pattern satisfied exactly.  Raises
-    `Stage2NonConvergence` (carrying the last iterate) if the sweep cap
-    is reached, and `NumericalError` if an error variance degenerates.
-    `run_inner_loop` is the non-raising variant used by the driver;
-    it also reports sweep and floor-clamp counts.
-    """
-    lam, psi, info = run_inner_loop(model_id, stats, s_bar, lam, psi, max_inner, tol)
-    if not info["converged"]:
-        raise Stage2NonConvergence(lam, psi, info["sweeps"])
-    return lam, psi
 
 
 def _sweep(model_id, w, ws_diag, n_g, eye, lam, psi, objective=True):
@@ -330,10 +222,22 @@ def _sweep(model_id, w, ws_diag, n_g, eye, lam, psi, objective=True):
     return lam_new, psi_new, obj, floored
 
 
-def run_inner_loop(model_id, stats, s_bar, lam, psi, max_inner=MAX_INNER, tol=INNER_TOL):
-    """As `update_lambda_psi` but reporting instead of raising on the
-    sweep cap.  Returns (lam, psi, info) where info holds 'converged',
-    'sweeps' (map calls, extrapolated ones included) and 'psi_floored'.
+def run_inner_loop(model_id, w, n_g, s_bar, lam, psi, max_inner=MAX_INNER, tol=INNER_TOL):
+    """Inner fixed-point loop for loadings and error variances.
+
+    model_id is the constraint pattern to enforce; w (G, d, d) the
+    symmetric scatter of `make_stage2_stats`; n_g (G,) the positive
+    effective sizes; s_bar (G, d) the responsibility-weighted means of
+    the variational covariance diagonals; lam (G, d, K) and psi (G, d)
+    the warm start, which must already satisfy the pattern.  max_inner
+    is the budget of map calls ("sweeps"), extrapolated ones included,
+    so 1 gives one plain sweep; tol bounds the Frobenius norms of the
+    change in lam and in psi over one map call at convergence.
+
+    Returns (lam, psi, info) with the pattern satisfied exactly; info
+    holds 'converged' (false if the budget ran out first), 'sweeps' and
+    'psi_floored'.  Raises `NumericalError` if an error variance
+    degenerates.
 
     The map `_sweep` is accelerated by SQUAREM-S3 cycles (Varadhan &
     Roland 2008): from x0, take x1 = F(x0) and x2 = F(x1), set
@@ -345,15 +249,19 @@ def run_inner_loop(model_id, stats, s_bar, lam, psi, max_inner=MAX_INNER, tol=IN
     decreases and the loop ends on a map output at the map's fixed point.
     Constraint patterns are linear subspaces and x' is formed
     elementwise, so tied loading rows and isotropic or shared psi stay
-    bitwise equal.  The loop stops when one map call moves lam and psi
-    each by less than `tol` (Frobenius norm), or after `max_inner` map
-    calls; `max_inner=1` is one plain sweep.
+    bitwise equal.
     """
     if not isinstance(model_id, ModelId):
         raise InputError("model_id must be a ModelId")
-    w = stats.w
-    n_g = stats.n_g
+    w = np.asarray(w, dtype=np.float64)
+    n_g = np.asarray(n_g, dtype=np.float64)
+    if w.ndim != 3 or w.shape[1] != w.shape[2]:
+        raise InputError("w must be (G, d, d)")
     g, d, _ = w.shape
+    if n_g.shape != (g,) or np.any(n_g <= 0):
+        raise InputError("n_g must be positive with length G")
+    if not np.allclose(w, w.transpose(0, 2, 1), rtol=0, atol=1e-8):
+        raise InputError("w matrices must be symmetric")
     lam = np.asarray(lam, dtype=np.float64)
     psi = np.asarray(psi, dtype=np.float64)
     if lam.shape[:2] != (g, d) or psi.shape != (g, d):

@@ -296,9 +296,9 @@ def test_criterion_06c_single_component_estimators_collapse(capsys):
 
     results = {}
     for model in ALL_MODELS:
-        stats = stage2.make_stage2_stats(zhat, m, mu)
+        w = stage2.make_stage2_stats(zhat, m, mu)
         lam, psi, info = stage2.run_inner_loop(
-            model, stats, s_bar, lam0.copy(), psi0.copy(), max_inner=300, tol=1e-12
+            model, w, zhat.sum(axis=0), s_bar, lam0.copy(), psi0.copy(), max_inner=300, tol=1e-12
         )
         results[str(model)] = (lam[0] @ lam[0].T, psi[0])
 

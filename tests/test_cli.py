@@ -187,6 +187,26 @@ def test_validation_failures_exit_one(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_negative_seed_exits_one(tmp_path, capsys):
+    # numpy refuses negative seeds with a ValueError, which must not reach
+    # the runtime-failure exit code
+    counts = tmp_path / "c.csv"
+    counts.write_text(
+        "id,a,b\n" + "".join(f"s{i},{2 + i},{5 + i}\n" for i in range(8)),
+        encoding="utf-8",
+    )
+    assert fit_small(counts, tmp_path / "fit", "--seed", "-1") == 1
+    assert not (tmp_path / "fit").exists()
+    for out, flags in (
+        ("explicit", ("--n", "20", "--d", "3", "--g", "2", "--k", "1", "--model", "UUU",
+                      "--seed", "-1")),
+        ("preset", ("--preset", "setting1", "--seed", "-3")),
+    ):
+        assert run_cli("simulate", *flags, "--out-dir", str(tmp_path / out)) == 1
+        assert not (tmp_path / out / "params.json").exists()
+    assert "non-negative" in capsys.readouterr().err
+
+
 def test_kmax_above_dimension_exits_one(tmp_path):
     counts = tmp_path / "c.csv"
     counts.write_text(

@@ -166,6 +166,29 @@ def test_start_log_det_s_is_the_dense_log_det(rng, d):
                                rtol=1e-12, atol=0)
 
 
+def test_sigma_guard_bound_is_the_summed_pair_terms(rng):
+    # the guard scores a step from the aggregated (G, d, d) moments; they
+    # must give the same sigma terms as the per-pair kernels summed over
+    # observations with weights zhat
+    n, g, d, k = 50, 3, 6, 2
+    zhat = rng.dirichlet(np.ones(g), n)
+    n_g = zhat.sum(axis=0)
+    m = rng.normal(1.0, 0.5, (n, g, d))
+    mu = rng.normal(1.0, 0.5, (g, d))
+    s = (rng.uniform(0.05, 0.3, (n, g, d)), rng.normal(0.0, 0.2, (n, g, d, k)))
+    sigma = em._sigma_from(rng.uniform(-1.0, 1.0, (g, d, k)), rng.uniform(0.3, 1.0, (g, d)))
+
+    s_bar, mean_s = em._s_means(zhat, n_g, s)
+    ref = np.einsum("ng,ngde->gde", zhat, dense_s(*s)) / n_g[:, None, None]
+    assert np.abs(mean_s - ref).max() <= 1e-14 * np.abs(ref).max()
+    assert s_bar.tobytes() == np.diagonal(mean_s, axis1=1, axis2=2).tobytes()
+
+    pairs = -0.5 * (stage1._quad_batch(m, mu, sigma) + stage1._trace_batch(sigma, s))
+    expected = (zhat * pairs).sum() - 0.5 * n_g @ sigma[3]
+    a_bar = stage2.make_stage2_stats(zhat, m, mu) + mean_s
+    assert em._sigma_bound_part(sigma, a_bar, n_g) == pytest.approx(expected, rel=1e-12, abs=0)
+
+
 def _sigma_guard_case(c):
     """A covariance step whose traced bound is not maximized at its end.
 
@@ -185,26 +208,27 @@ def _sigma_guard_case(c):
     u = np.ones(d) / np.sqrt(d)
     m = 2.0 * rng.normal(0.0, 1.0, (n, 1, 1)) * u + rng.normal(0.0, 0.5, (n, 1, d))
     zhat = np.ones((n, 1))
-    stats = stage2.make_stage2_stats(zhat, m, m.mean(axis=0))
-    top = np.linalg.eigvalsh(stats.w[0])[-1]
+    w = stage2.make_stage2_stats(zhat, m, m.mean(axis=0))
+    n_g = zhat.sum(axis=0)
+    top = np.linalg.eigvalsh(w[0])[-1]
     s = np.broadcast_to(0.5 * top * (np.eye(d) - np.outer(u, u)) + 0.1 * np.eye(d),
                         (n, 1, d, d)).copy()
     s_bar = s[:, :, np.arange(d), np.arange(d)].mean(axis=0)
-    a_bar = stats.w + s.mean(axis=0)
+    a_bar = w + s.mean(axis=0)
     lam1, psi1 = np.full((1, d, k), 0.5), np.ones((1, d))
-    lam_in, psi_in, _ = stage2.run_inner_loop(model_id, stats, s_bar, lam1, psi1, tol=1e-12)
+    lam_in, psi_in, _ = stage2.run_inner_loop(model_id, w, n_g, s_bar, lam1, psi1, tol=1e-12)
     lam_opt, psi_opt, _ = stage2.run_inner_loop(
-        model_id, dataclasses.replace(stats, w=a_bar), np.zeros((1, d)), lam1, psi1, tol=1e-12
+        model_id, a_bar, n_g, np.zeros((1, d)), lam1, psi1, tol=1e-12
     )
     lam, psi = lam_opt + c * (lam_opt - lam_in), psi_opt + c * (psi_opt - psi_in)
     assert psi.min() > 0
-    lam_new, psi_new, _ = stage2.run_inner_loop(model_id, stats, s_bar, lam, psi)
+    lam_new, psi_new, _ = stage2.run_inner_loop(model_id, w, n_g, s_bar, lam, psi)
     bounds = np.array([
         em._sigma_bound_part(em._sigma_from(lam + eta * (lam_new - lam),
-                                            psi + eta * (psi_new - psi)), a_bar, stats.n_g)
+                                            psi + eta * (psi_new - psi)), a_bar, n_g)
         for eta in 0.5 ** np.arange(stage1.MAX_HALVINGS + 1)
     ])
-    return (model_id, a_bar, stats, s_bar, lam, psi), a_bar, (lam_new, psi_new), bounds
+    return (model_id, a_bar, w, n_g, s_bar, lam, psi), a_bar, (lam_new, psi_new), bounds
 
 
 def test_sigma_guard_backtracks_or_rejects():
@@ -222,15 +246,15 @@ def test_sigma_guard_backtracks_or_rejects():
         (fall, 0.5 * (fall[3][-3] + fall[3][-2]), 9),  # the last halving
         (fall, 0.5 * (fall[3][-2] + fall[3][-1]), None),  # only an 11th candidate would pass
     ):
-        stats, lam, psi = args[2], args[4], args[5]
+        n_g, lam, psi = args[3], args[5], args[6]
         _, _, beta, sig_logdet = em._sigma_from(lam, psi)
-        j_true = em._sigma_bound_part((lam, psi, beta, sig_logdet), a_bar, stats.n_g)
+        j_true = em._sigma_bound_part((lam, psi, beta, sig_logdet), a_bar, n_g)
         # the previous bound is -1/2 sum n_g (tr + log|sigma|), so lowering
         # log|sigma| raises it to the floor
-        logdet = sig_logdet - 2.0 * (floor - j_true) / stats.n_g.sum()
+        logdet = sig_logdet - 2.0 * (floor - j_true) / n_g.sum()
         lam_out, psi_out, beta_out, logdet_out, info, backtracks, rejected = \
-            em._guarded_sigma_step(*args[:4], (lam, psi, beta, logdet))
-        j_old = em._sigma_bound_part((lam, psi, beta, logdet), a_bar, stats.n_g)
+            em._guarded_sigma_step(*args[:5], (lam, psi, beta, logdet))
+        j_old = em._sigma_bound_part((lam, psi, beta, logdet), a_bar, n_g)
         tried = bounds[:stage1.MAX_HALVINGS]
         passed = np.nonzero(tried >= j_old - 1e-9 * max(1.0, abs(j_old)))[0]
         assert (passed[0] if len(passed) else None) == first

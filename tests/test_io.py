@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import json
+import time
 import types
 
 import numpy as np
@@ -131,6 +132,17 @@ def test_factors_file_validation(tmp_path):
     check("sample_id,factor\ns1,abc\ns2,1.0\n", "not a number")
     check("sample_id,factor\ns1,0\ns2,1.0\n", "positive")
     check("sample_id,factor\ns1,-1\ns2,1.0\n", "positive")
+
+
+def test_factors_file_read_is_linear_in_samples(tmp_path):
+    # the read must stay linear in the samples: rebuilding the id set for
+    # every row made this file take about 24 s on a 2-core machine
+    ids = [f"s{i}" for i in range(20_000)]
+    f = _write(tmp_path / "f.csv", "sample_id,factor\n" + "".join(f"{s},1.5\n" for s in ids))
+    start = time.perf_counter()
+    factors = read_factors_file(f, ids)
+    assert time.perf_counter() - start < 5.0
+    np.testing.assert_array_equal(factors.c, np.full(20_000, 1.5))
 
 
 # ---------------------------------------------------------------------------

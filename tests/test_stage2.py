@@ -6,13 +6,9 @@ from hypothesis import strategies as st
 from mplnfa.core import ALL_MODELS, EmptyComponentError, InputError, ModelId
 from mplnfa.stage1 import elbo_stage1
 from mplnfa.stage2 import (
-    Stage2NonConvergence,
-    Stage2Stats,
-    compute_w,
     elbo_stage2,
     make_stage2_stats,
     run_inner_loop,
-    update_lambda_psi,
     update_p,
     update_q,
 )
@@ -38,9 +34,8 @@ def random_stats(rng, g, d, k, mid):
     a = rng.standard_normal((g, d, d)) * 0.7
     w = np.einsum("gde,gfe->gdf", a, a) + np.eye(d) * rng.uniform(0.2, 1.0)
     lam, psi = constrained_draw(rng, mid, g, d, k)
-    stats = Stage2Stats(w=w, n_g=n_g)
     s_bar = rng.uniform(0.01, 0.3, (g, d))
-    return stats, s_bar, lam, psi
+    return w, n_g, s_bar, lam, psi
 
 
 # ---------------------------------------------------------------------------
@@ -48,28 +43,31 @@ def random_stats(rng, g, d, k, mid):
 # ---------------------------------------------------------------------------
 
 
+# These four take one component: zhat (n, 1), m (n, 1, d), mu (1, d).
+
+
 def test_compute_w_centered_data_is_zero():
-    m = np.tile([1.0, 2.0], (4, 1))
-    w = compute_w(np.ones(4), m, np.array([1.0, 2.0]))
+    m = np.tile([1.0, 2.0], (4, 1, 1))
+    w = make_stage2_stats(np.ones((4, 1)), m, np.array([[1.0, 2.0]]))[0]
     np.testing.assert_array_equal(w, np.zeros((2, 2)))
 
 
 def test_compute_w_hard_assignment_scatter():
-    m = np.array([[-1.0], [1.0]])
-    w = compute_w(np.ones(2), m, np.array([0.0]))
+    m = np.array([[[-1.0]], [[1.0]]])
+    w = make_stage2_stats(np.ones((2, 1)), m, np.array([[0.0]]))[0]
     assert w[0, 0] == pytest.approx(1.0)
 
 
 def test_compute_w_is_psd(rng):
-    m = rng.normal(0, 1, (30, 4))
-    z = rng.uniform(0.01, 1.0, 30)
-    w = compute_w(z, m, m.mean(axis=0))
+    m = rng.normal(0, 1, (30, 1, 4))
+    z = rng.uniform(0.01, 1.0, (30, 1))
+    w = make_stage2_stats(z, m, m.mean(axis=0))[0]
     assert np.linalg.eigvalsh(w).min() >= -1e-12
 
 
 def test_compute_w_empty_component():
     with pytest.raises(EmptyComponentError):
-        compute_w(np.zeros(3), np.zeros((3, 2)), np.zeros(2))
+        make_stage2_stats(np.zeros((3, 1)), np.zeros((3, 1, 2)), np.zeros((1, 2)))
 
 
 def test_stage2_scatter_matches_einsum(rng):
@@ -79,7 +77,7 @@ def test_stage2_scatter_matches_einsum(rng):
     mu = rng.normal(1.0, 0.5, (g, d))
     v = m - mu[None]
     ref = np.einsum("ng,ngd,nge->gde", zhat, v, v) / zhat.sum(0)[:, None, None]
-    w = make_stage2_stats(zhat, m, mu).w
+    w = make_stage2_stats(zhat, m, mu)
     np.testing.assert_allclose(w, 0.5 * (ref + ref.transpose(0, 2, 1)), rtol=1e-12, atol=0)
 
 
@@ -188,10 +186,10 @@ def test_stage2_p_gradient_vanishes_at_optimum(rng):
 def test_inner_loop_g1_constraint_pairs_coincide(rng):
     d, k = 5, 2
     mid_pairs = (("UUU", "CUU"), ("UUC", "CUC"), ("UCU", "CCU"), ("UCC", "CCC"))
-    stats, s_bar, lam0, psi0 = random_stats(rng, 1, d, k, ModelId.from_string("UUU"))
+    w, n_g, s_bar, lam0, psi0 = random_stats(rng, 1, d, k, ModelId.from_string("UUU"))
     for code_u, code_c in mid_pairs:
-        lam_u, psi_u, _ = run_inner_loop(ModelId.from_string(code_u), stats, s_bar, lam0, psi0)
-        lam_c, psi_c, _ = run_inner_loop(ModelId.from_string(code_c), stats, s_bar, lam0, psi0)
+        lam_u, psi_u, _ = run_inner_loop(ModelId.from_string(code_u), w, n_g, s_bar, lam0, psi0)
+        lam_c, psi_c, _ = run_inner_loop(ModelId.from_string(code_c), w, n_g, s_bar, lam0, psi0)
         np.testing.assert_allclose(lam_u @ lam_u.transpose(0, 2, 1),
                                    lam_c @ lam_c.transpose(0, 2, 1), atol=1e-6)
         np.testing.assert_allclose(psi_u, psi_c, atol=1e-6)
@@ -205,10 +203,9 @@ def test_inner_loop_gaussian_limit_recovers_covariance(rng):
     sigma_true = lam_true @ lam_true.T + np.diag(psi_true)
     m = rng.multivariate_normal(np.zeros(d), sigma_true, n)
     w = (m.T @ m / n)[None]
-    stats = Stage2Stats(w=w, n_g=np.array([float(n)]))
     lam0 = rng.uniform(-0.5, 0.5, (1, d, k))
     psi0 = np.full((1, d), 0.6)
-    lam, psi, info = run_inner_loop(ModelId.from_string("UUU"), stats,
+    lam, psi, info = run_inner_loop(ModelId.from_string("UUU"), w, np.array([float(n)]),
                                     np.zeros((1, d)), lam0, psi0)
     fitted = lam[0] @ lam[0].T + np.diag(psi[0])
     assert info["converged"]
@@ -240,10 +237,10 @@ def test_psi_pattern_shapes_and_sharing():
 
 def test_common_lambda_row_solve_matches_direct_solve_at_g1(rng):
     d, k = 6, 2
-    stats, s_bar, lam0, psi0 = random_stats(rng, 1, d, k, ModelId.from_string("UUU"))
-    lam_u, _, _ = run_inner_loop(ModelId.from_string("UUU"), stats, s_bar, lam0, psi0,
+    w, n_g, s_bar, lam0, psi0 = random_stats(rng, 1, d, k, ModelId.from_string("UUU"))
+    lam_u, _, _ = run_inner_loop(ModelId.from_string("UUU"), w, n_g, s_bar, lam0, psi0,
                                  max_inner=1)
-    lam_c, _, _ = run_inner_loop(ModelId.from_string("CUU"), stats, s_bar, lam0, psi0,
+    lam_c, _, _ = run_inner_loop(ModelId.from_string("CUU"), w, n_g, s_bar, lam0, psi0,
                                  max_inner=1)
     np.testing.assert_allclose(lam_u, lam_c, atol=1e-8)
 
@@ -260,12 +257,12 @@ def test_inner_sweeps_ascend_aggregated_bound(seed):
     g, d, k = int(r.integers(1, 4)), int(r.integers(3, 7)), int(r.integers(1, 3))
     mid = ALL_MODELS[int(r.integers(0, 8))]
     slack = 1e-8
-    stats, s_bar, lam, psi = random_stats(r, g, d, k, mid)
+    w, n_g, s_bar, lam, psi = random_stats(r, g, d, k, mid)
     s_bar_full = np.stack([np.diag(s_bar[j]) for j in range(g)])
-    prev = aggregated_stage2_objective(lam, psi, stats.w, s_bar_full, stats.n_g)
+    prev = aggregated_stage2_objective(lam, psi, w, s_bar_full, n_g)
     for _ in range(12):
-        lam, psi, _ = run_inner_loop(mid, stats, s_bar, lam, psi, max_inner=1)
-        cur = aggregated_stage2_objective(lam, psi, stats.w, s_bar_full, stats.n_g)
+        lam, psi, _ = run_inner_loop(mid, w, n_g, s_bar, lam, psi, max_inner=1)
+        cur = aggregated_stage2_objective(lam, psi, w, s_bar_full, n_g)
         assert cur >= prev - slack * max(1.0, abs(prev))
         prev = cur
 
@@ -276,12 +273,12 @@ def test_sweep_objective_is_the_aggregated_bound(rng, mid):
     # with beta at its optimum, shifted by the constant (K/2) sum n_g
     for _ in range(5):
         g, d, k = int(rng.integers(1, 4)), int(rng.integers(3, 7)), int(rng.integers(1, 3))
-        stats, s_bar, lam, psi = random_stats(rng, g, d, k, mid)
-        ws_diag = np.diagonal(stats.w, axis1=1, axis2=2) + s_bar
-        objective = stage2._sweep(mid, stats.w, ws_diag, stats.n_g, np.eye(k), lam, psi)[2]
+        w, n_g, s_bar, lam, psi = random_stats(rng, g, d, k, mid)
+        ws_diag = np.diagonal(w, axis1=1, axis2=2) + s_bar
+        objective = stage2._sweep(mid, w, ws_diag, n_g, np.eye(k), lam, psi)[2]
         s_bar_full = np.stack([np.diag(s_bar[j]) for j in range(g)])
-        ref = aggregated_stage2_objective(lam, psi, stats.w, s_bar_full, stats.n_g)
-        assert objective - 0.5 * k * stats.n_g.sum() == pytest.approx(ref, rel=1e-10)
+        ref = aggregated_stage2_objective(lam, psi, w, s_bar_full, n_g)
+        assert objective - 0.5 * k * n_g.sum() == pytest.approx(ref, rel=1e-10)
 
 
 @pytest.mark.parametrize("mid", ALL_MODELS, ids=str)
@@ -290,9 +287,9 @@ def test_sweep_without_objective_returns_the_same_bits(rng, mid):
     # and floor count must not depend on whether it was computed
     for _ in range(5):
         g, d, k = int(rng.integers(1, 4)), int(rng.integers(3, 7)), int(rng.integers(1, 3))
-        stats, s_bar, lam, psi = random_stats(rng, g, d, k, mid)
-        ws_diag = np.diagonal(stats.w, axis1=1, axis2=2) + s_bar
-        args = (mid, stats.w, ws_diag, stats.n_g, np.eye(k), lam, psi)
+        w, n_g, s_bar, lam, psi = random_stats(rng, g, d, k, mid)
+        ws_diag = np.diagonal(w, axis1=1, axis2=2) + s_bar
+        args = (mid, w, ws_diag, n_g, np.eye(k), lam, psi)
         lam_a, psi_a, obj_a, fl_a = stage2._sweep(*args)
         lam_b, psi_b, obj_b, fl_b = stage2._sweep(*args, objective=False)
         assert np.isfinite(obj_a) and obj_b is None and fl_a == fl_b
@@ -308,24 +305,24 @@ def test_accelerated_loop_ascends_to_the_plain_fixed_point(seed):
     r = np.random.default_rng(seed)
     g, d, k = int(r.integers(1, 4)), int(r.integers(3, 7)), int(r.integers(1, 3))
     mid = ALL_MODELS[int(r.integers(0, 8))]
-    stats, s_bar, lam0, psi0 = random_stats(r, g, d, k, mid)
+    w, n_g, s_bar, lam0, psi0 = random_stats(r, g, d, k, mid)
     s_bar_full = np.stack([np.diag(s_bar[j]) for j in range(g)])
 
     def objective(lam, psi):
-        return aggregated_stage2_objective(lam, psi, stats.w, s_bar_full, stats.n_g)
+        return aggregated_stage2_objective(lam, psi, w, s_bar_full, n_g)
 
-    lam, psi, _ = run_inner_loop(mid, stats, s_bar, lam0, psi0)
+    lam, psi, _ = run_inner_loop(mid, w, n_g, s_bar, lam0, psi0)
     start = objective(lam0, psi0)
     assert objective(lam, psi) >= start - 1e-10 * abs(start)
 
     lam_ref, psi_ref = lam0, psi0
     for _ in range(20_000):
-        lam_ref, psi_ref, info = run_inner_loop(mid, stats, s_bar, lam_ref, psi_ref,
+        lam_ref, psi_ref, info = run_inner_loop(mid, w, n_g, s_bar, lam_ref, psi_ref,
                                                 max_inner=1, tol=1e-12)
         if info["converged"]:
             break
     assume(info["converged"])
-    lam, psi, info = run_inner_loop(mid, stats, s_bar, lam0, psi0, max_inner=20_000, tol=1e-10)
+    lam, psi, info = run_inner_loop(mid, w, n_g, s_bar, lam0, psi0, max_inner=20_000, tol=1e-10)
     assert info["converged"]
     np.testing.assert_allclose(lam @ lam.transpose(0, 2, 1),
                                lam_ref @ lam_ref.transpose(0, 2, 1), rtol=0, atol=1e-5)
@@ -334,8 +331,8 @@ def test_accelerated_loop_ascends_to_the_plain_fixed_point(seed):
 
 def test_constraint_patterns_bitwise(rng):
     for mid in ALL_MODELS:
-        stats, s_bar, lam0, psi0 = random_stats(rng, 3, 5, 2, mid)
-        lam, psi, _ = run_inner_loop(mid, stats, s_bar, lam0, psi0)
+        w, n_g, s_bar, lam0, psi0 = random_stats(rng, 3, 5, 2, mid)
+        lam, psi, _ = run_inner_loop(mid, w, n_g, s_bar, lam0, psi0)
         if mid.lambda_constrained:
             assert np.array_equal(lam[0], lam[1]) and np.array_equal(lam[0], lam[2])
         if mid.psi_constrained:
@@ -353,20 +350,34 @@ def test_fixed_point_when_scatter_matches_model(rng):
     mid = ModelId.from_string("CCU")
     lam0, psi0 = constrained_draw(rng, mid, g, d, k)
     w = np.stack([lam0[j] @ lam0[j].T + np.diag(psi0[j]) for j in range(g)])
-    stats = Stage2Stats(w=w, n_g=np.array([80.0, 120.0]))
-    lam, psi, _ = run_inner_loop(mid, stats, np.zeros((g, d)), lam0, psi0)
+    lam, psi, _ = run_inner_loop(mid, w, np.array([80.0, 120.0]), np.zeros((g, d)), lam0, psi0)
     np.testing.assert_allclose(lam @ lam.transpose(0, 2, 1),
                                lam0 @ lam0.transpose(0, 2, 1), atol=1e-6)
     np.testing.assert_allclose(psi, psi0, atol=1e-6)
 
 
-def test_update_lambda_psi_raises_on_sweep_budget(rng):
+def test_run_inner_loop_reports_sweep_budget(rng):
     mid = ModelId.from_string("UUU")
-    stats, s_bar, lam0, psi0 = random_stats(rng, 2, 6, 2, mid)
-    with pytest.raises(Stage2NonConvergence) as exc:
-        update_lambda_psi(mid, stats, s_bar, lam0, psi0, max_inner=1, tol=1e-14)
-    assert exc.value.lam.shape == lam0.shape
-    assert exc.value.sweeps == 1
+    w, n_g, s_bar, lam0, psi0 = random_stats(rng, 2, 6, 2, mid)
+    lam, _, info = run_inner_loop(mid, w, n_g, s_bar, lam0, psi0, max_inner=1, tol=1e-14)
+    assert not info["converged"]
+    assert lam.shape == lam0.shape
+    assert info["sweeps"] == 1
+
+
+def test_run_inner_loop_rejects_malformed_scatter_and_sizes(rng):
+    mid = ModelId.from_string("UUU")
+    w, n_g, s_bar, lam0, psi0 = random_stats(rng, 2, 4, 1, mid)
+    skew = w.copy()
+    skew[0, 0, 1] += 1e-6
+    for bad_w, bad_n_g, pattern in (
+        (w[0], n_g, r"\(G, d, d\)"),
+        (skew, n_g, "symmetric"),
+        (w, n_g[:1], "length G"),
+        (w, np.array([n_g[0], 0.0]), "positive"),
+    ):
+        with pytest.raises(InputError, match=pattern):
+            run_inner_loop(mid, bad_w, bad_n_g, s_bar, lam0, psi0)
 
 
 def test_run_inner_loop_reports_floor_events(rng):
@@ -377,8 +388,7 @@ def test_run_inner_loop_reports_floor_events(rng):
     w[:, np.arange(d), np.arange(d)] = 1e-9
     lam0 = np.full((g, d, k), 1e-8)
     psi0 = np.full((g, d), 0.5)
-    stats = Stage2Stats(w=w, n_g=np.array([50.0]))
-    lam, psi, info = run_inner_loop(ModelId.from_string("UUU"), stats,
+    lam, psi, info = run_inner_loop(ModelId.from_string("UUU"), w, np.array([50.0]),
                                     np.zeros((g, d)), lam0, psi0)
     assert info["psi_floored"] > 0
     assert np.all(psi >= stage2.PSI_FLOOR)

@@ -57,6 +57,13 @@ def _freeze(a):
     return out
 
 
+def _setstate_frozen(self, state):
+    """Unpickle a container with its arrays read-only again, so that a fit
+    returned by a worker process is as immutable as one built in place."""
+    for name, value in state.items():
+        object.__setattr__(self, name, _freeze(value) if isinstance(value, np.ndarray) else value)
+
+
 # ---------------------------------------------------------------------------
 # data containers
 # ---------------------------------------------------------------------------
@@ -231,6 +238,8 @@ class ComponentParams:
         object.__setattr__(self, "lam", _freeze(lam))
         object.__setattr__(self, "psi", _freeze(psi))
 
+    __setstate__ = _setstate_frozen
+
     @property
     def d(self):
         return self.mu.shape[0]
@@ -384,6 +393,8 @@ class VariationalState:
         _require_spd_batch(q, "q")
         for name, arr in arrays.items():
             object.__setattr__(self, name, _freeze(arr))
+
+    __setstate__ = _setstate_frozen
 
     @property
     def n(self):

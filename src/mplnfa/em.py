@@ -8,13 +8,13 @@ total bound sum_i log sum_g pi_g exp(f_ig); every first-stage step
 either maximizes it exactly over its block or is guarded by step
 halving, so the recorded trace is non-decreasing up to tiny slack.
 
-The grid search fans out over (G, K, model) triples with a thread
-pool.  Each triple's fit is a pure function of the data and the
+The grid search fans out over (G, K, model) triples on forked worker
+processes.  Each triple's fit is a pure function of the data and the
 configuration, so results are identical for any worker count.
 """
 
 import os
-from concurrent.futures import ThreadPoolExecutor, as_completed
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -588,13 +588,53 @@ def _resolve_threads(threads):
     return min(threads, 64)
 
 
+# The triple function of a pool worker process, set there by `_set_task`.
+_task = None
+
+
+def _set_task(task):
+    global _task
+    _task = task
+
+
+def _run_task(i):
+    return _task(i)
+
+
+def _completed(one, count, workers):
+    """Yield (i, one(i)) for i in range(count), in the order they finish.
+
+    Up to `workers` forked processes run the calls.  Fork hands `one`,
+    with the data it closes over, to each worker by inheritance, so only
+    the indices and the results are pickled.  The calls run in a plain
+    loop in the calling thread instead when one worker would do, when
+    the process has other Python threads (forking them is unsafe), or
+    where the platform cannot fork.
+    """
+    workers = min(workers, count)
+    if workers < 2 or threading.active_count() > 1 or not hasattr(os, "fork"):
+        for i in range(count):
+            yield i, one(i)
+        return
+    # Loaded only here: a process that runs no pool does not pay for it.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_set_task, initargs=(one,)) as pool:
+        futures = {pool.submit(_run_task, i): i for i in range(count)}
+        for fut in as_completed(futures):
+            yield futures.pop(fut), fut.result()  # a future holds its fit until released
+
+
 def grid_search(data, factors, config, threads=None):
     """Fit every (G, K, model) triple and select by BIC.
 
-    Failed or degenerate triples, including every triple of a G whose
-    k-means start fails, are recorded in the summaries and excluded
-    from selection; `NumericalError` is raised only when no triple is
-    left to select.  The returned entries follow the triple
+    `threads` caps the worker processes (`_completed`); it never changes
+    the result.  Failed or degenerate triples, including every triple of
+    a G whose k-means start fails, are recorded in the summaries and
+    excluded from selection; `NumericalError` is raised only when no
+    triple is left to select.  The returned entries follow the triple
     order sorted by (G, K, model position); the selected fit is the
     BIC argmin with ties broken by that order, independent of worker
     scheduling.
@@ -621,8 +661,9 @@ def grid_search(data, factors, config, threads=None):
         for model in config.models
     ]
 
-    def _one(g, k, model):
-        """(GridEntry, fit) of one triple; the fit is None where it failed."""
+    def _one(i):
+        """(GridEntry, fit) of triple i; the fit is None where it failed."""
+        g, k, model = triples[i]
         try:
             if g in start_errors:
                 raise NumericalError(start_errors[g])
@@ -644,14 +685,11 @@ def grid_search(data, factors, config, threads=None):
     # finished fit waits in memory for an earlier triple to finish.
     results = [None] * len(triples)
     best_key, best_fit = (np.inf, 0), None
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = {pool.submit(_one, *triple): i for i, triple in enumerate(triples)}
-        for fut in as_completed(futures):
-            i = futures.pop(fut)  # a future holds its fit until released
-            results[i], fit = fut.result()
-            key = (results[i].bic, i)
-            if not results[i].degenerate and np.isfinite(key[0]) and key < best_key:
-                best_key, best_fit = key, fit
+    for i, (entry, fit) in _completed(_one, len(triples), threads):
+        results[i] = entry
+        key = (entry.bic, i)
+        if not entry.degenerate and np.isfinite(key[0]) and key < best_key:
+            best_key, best_fit = key, fit
 
     entries = tuple(results)
     if best_fit is None:

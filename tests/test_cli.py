@@ -1,10 +1,13 @@
 """Command-line interface: pipeline wiring, exit codes, and rerun stability."""
 
 import json
+import os
 import shutil
+import signal
 
 import pytest
 
+from mplnfa import em
 from mplnfa.cli import main
 from mplnfa.core import InputError, MixtureModel
 
@@ -328,3 +331,31 @@ def test_fit_whose_every_fitted_state_is_rejected_exits_two(tmp_path, capsys, mo
     assert fit_small(sim / "counts_r000.csv", tmp_path / "fit") == 2
     assert "failure:" in capsys.readouterr().err
 
+
+def test_fit_whose_worker_process_dies_exits_two_without_hanging(tmp_path, capsys, monkeypatch):
+    # A worker that dies breaks the pool: the command fails at runtime and
+    # returns at once rather than waiting for a result that never comes.
+    sim = tmp_path / "sim"
+    assert simulate_small(sim, replicates=1) == 0
+    test_pid = os.getpid()
+    real_run = em._run_em
+
+    def die_at_two(*args):
+        if args[4] == 2 and os.getpid() != test_pid:  # g; never end the test's own process
+            os._exit(1)
+        return real_run(*args)
+
+    def hung(signum, frame):
+        # pytest.fail raises a BaseException, which the exit-code mapping lets through
+        pytest.fail("mplnfa fit still waits 60 s after its worker died")
+
+    monkeypatch.setattr(em, "_run_em", die_at_two)
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        code = fit_small(sim / "counts_r000.csv", tmp_path / "fit", "--threads", "2")
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 2
+    assert "failure:" in capsys.readouterr().err

@@ -1,6 +1,8 @@
 """Scores, initialization, the outer fitting loop, and the model grid."""
 
 import dataclasses
+import os
+import threading
 import time
 import tracemalloc
 import warnings
@@ -621,6 +623,8 @@ def test_grid_search_on_degenerate_inputs_fits_or_fails_at_runtime(kind, seed):
 
 
 def test_grid_search_identical_across_thread_counts(rng):
+    # threads=1 runs the plain loop, threads=4 the worker processes, whose
+    # fits come back pickled; the selected fit must survive that intact.
     data, factors, _ = _grid_data(rng)
     cfg = _quick_config(g_range=(1, 2), k_range=(1, 2),
                         models=(ModelId.from_string("UUU"), ModelId.from_string("CCC")))
@@ -633,30 +637,70 @@ def test_grid_search_identical_across_thread_counts(rng):
         assert ea.elbo_trace == eb.elbo_trace
     assert a.best.bic == b.best.bic
     assert np.array_equal(a.best.assignments, b.best.assignments)
+    for name in ("pi", "mu", "lam", "psi"):
+        assert np.array_equal(getattr(a.best.model, name), getattr(b.best.model, name)), name
+    for name in ("m", "s_d", "s_w", "zhat", "f"):
+        got = getattr(b.best.state, name)
+        assert np.array_equal(getattr(a.best.state, name), got), name
+        assert not got.flags.writeable, name
+    assert not b.best.model.components[0].lam.flags.writeable
 
 
-def test_grid_search_breaks_ties_by_grid_position_not_completion(rng, monkeypatch):
+def test_grid_search_breaks_ties_by_grid_position_not_completion(rng, monkeypatch, tmp_path):
     # Earlier triples sleep longer, so fits finish out of grid order, and
     # every fit reports the same BIC, so only the grid position decides.
+    # The fits run in worker processes, so each one appends its grid
+    # position and process id to a file instead of to a list.
     data, factors, _ = _grid_data(rng)
     models = (ModelId.from_string("UUU"), ModelId.from_string("CCC"))
     cfg = _quick_config(g_range=(1, 2), k_range=(1, 2), models=models, max_outer=5)
     triples = [(g, k, m) for g in (1, 2) for k in (1, 2) for m in models]
     real_run = em._run_em
-    finished = []
+    log = tmp_path / "finished.txt"
 
     def slow_tie(y, logc, x, labels, g, k, model_id, config):
         fit = real_run(y, logc, x, labels, g, k, model_id, config)
         time.sleep(0.05 * (len(triples) - triples.index((g, k, model_id))))
-        finished.append((g, k, model_id))
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{triples.index((g, k, model_id))} {os.getpid()}\n")
         return dataclasses.replace(fit, bic=1.0)
 
     monkeypatch.setattr(em, "_run_em", slow_tie)
     grid = grid_search(data, factors, cfg, threads=4)
+    rows = [line.split() for line in log.read_text(encoding="utf-8").splitlines()]
+    finished = [triples[int(i)] for i, _ in rows]
+    assert sorted(finished, key=triples.index) == triples
     assert finished[0] != triples[0]
+    assert all(int(pid) != os.getpid() for _, pid in rows)
     assert (grid.best.g, grid.best.k, grid.best.model_id) == triples[0]
     assert [(e.g, e.k, e.model_id) for e in grid.entries] == triples
     assert all(e.bic == 1.0 for e in grid.entries)
+
+
+def test_grid_search_from_a_second_thread_runs_in_the_callers_process(rng, monkeypatch):
+    # Forking a process that runs other Python threads is unsafe, so a call
+    # made beside a second thread fits in the calling thread, to the same
+    # entries as a call from the main thread.
+    data, factors, _ = _grid_data(rng)
+    cfg = _quick_config(g_range=(1, 2), k_range=(1, 1),
+                        models=(ModelId.from_string("UUU"), ModelId.from_string("CCC")))
+    expected = grid_search(data, factors, cfg, threads=2)
+    real_run = em._run_em
+    pids = []  # fits in a worker process would leave this list empty
+
+    def recording(*args):
+        pids.append(os.getpid())
+        return real_run(*args)
+
+    monkeypatch.setattr(em, "_run_em", recording)
+    out = {}
+    caller = threading.Thread(
+        target=lambda: out.update(grid=grid_search(data, factors, cfg, threads=2)))
+    caller.start()
+    caller.join(timeout=120)
+    assert not caller.is_alive()
+    assert pids == [os.getpid()] * len(expected.entries)
+    assert repr(out["grid"].entries) == repr(expected.entries)
 
 
 def test_grid_search_validates_inputs(rng):

@@ -5,9 +5,10 @@ The commands are the criterion-10 `simulate` and `fit` pair (the fit at
 --threads 1 and 2), `evaluate` of the --threads 1 fit against the
 simulated truth, a setting1 n=300 fit over G 1-3, K 1-2 and all
 eight patterns, and a setting3 n=800 fit over G 2-3, K 3-4, UUU and
-CCC, shaped like the grid-select benchmark, so that the per-pair and
-sigma guards are also covered on a larger grid.  They run in a temporary directory with relative paths,
-so the input path that `report.json` records is the same on every run.
+CCC, shaped like the grid-select benchmark, so that the per-pair
+guards are also covered on a larger grid.  They run in a temporary
+directory with relative paths, so the input path that `report.json`
+records is the same on every run.
 The echoed `threads` is dropped from `report.json` before hashing; the
 rest of every artifact is hashed as written.
 
@@ -62,8 +63,7 @@ COMMANDS = (
 )
 
 # Counters of the selected fit's `diagnostics` that `--values` prints.
-COUNTERS = ("exp_clamped", "s_guard_backtracks", "m_guard_backtracks",
-            "sigma_guard_backtracks", "sigma_guard_rejects")
+COUNTERS = ("exp_clamped", "s_guard_backtracks", "m_guard_backtracks")
 
 
 def _digest(path):

@@ -6,7 +6,8 @@ stage (loadings and error variances under the requested constraint
 pattern).  The per-iteration objective is the responsibility-marginal
 total bound sum_i log sum_g pi_g exp(f_ig); every first-stage step
 either maximizes it exactly over its block or is guarded by step
-halving, so the recorded trace is non-decreasing up to tiny slack.
+halving, and the second stage runs a few calls of a map that never
+lowers it, so the recorded trace is non-decreasing up to tiny slack.
 
 The grid search fans out over (G, K, model) triples on forked worker
 processes.  Each triple's fit is a pure function of the data and the
@@ -54,6 +55,8 @@ INIT_S_SCALE = 0.1
 KMEANS_RESEEDS = 10
 # Counts above this take the per-count constant in Stirling form.
 STIRLING_SWITCH = 2e5
+# Map calls of the stage-2 inner loop per outer iteration (`_sigma_step`).
+SIGMA_STEP_CALLS = 10
 
 
 @dataclass(frozen=True)
@@ -404,63 +407,36 @@ def _assemble_f(caches, sig_logdet, d):
 
 
 def _s_means(zhat, n_g, s):
-    """Responsibility-weighted means over observations of diag S, (G, d),
-    and of S, (G, d, d), built from the factors of S."""
+    """Responsibility-weighted means of S over observations, (G, d, d),
+    built from the factors of S."""
     s_d, s_w = s
     n, g, d, k = s_w.shape
     idx = np.arange(d)
-    # sum_i zhat_ig W_ig W_ig' as one product over the stacked sqrt(zhat) W
-    wz = (np.sqrt(zhat)[..., None, None] * s_w).transpose(1, 2, 0, 3).reshape(g, d, n * k)
-    mean_s = wz @ wz.transpose(0, 2, 1)
+    # sum_i zhat_ig W_ig W_ig' as one product of the stacked sqrt(zhat) W',
+    # written (G, n, K, d) in the pass that weights it, with its transpose
+    wz = np.multiply(np.sqrt(zhat.T)[..., None, None], s_w.transpose(1, 0, 3, 2), order="C")
+    wz = wz.reshape(g, n * k, d)
+    mean_s = wz.transpose(0, 2, 1) @ wz
     mean_s[:, idx, idx] += np.einsum("ng,ngd->gd", zhat, s_d)
     mean_s /= n_g[:, None, None]
-    return mean_s[:, idx, idx], mean_s
+    return mean_s
 
 
-def _sigma_bound_part(sigma, a_bar, n_g):
-    """Sigma-dependent terms of the responsibility-weighted bound.
+def _sigma_step(model_id, a_bar, n_g, sigma):
+    """The second stage: `SIGMA_STEP_CALLS` map calls of the inner loop on
+    a_bar = W + mean S (G, d, d) from sigma's (lam, psi).
 
-    a_bar holds, per component, the weighted mean of
-    (m - mu)(m - mu)' + S over observations; tr(sigma^-1 a_bar) is
-    tr(psi^-1 a_bar) - tr(psi^-1 lam beta a_bar).
+    With a_bar in place of W and a zero S-bar, the inner objective is the
+    sigma-dependent part of the total bound,
+    -1/2 sum_g n_g [log|sigma_g| + tr(sigma_g^-1 a_bar_g)], and the map is the
+    EM map of factor analysis on a_bar, which never lowers it; so the capped
+    loop is a generalized EM step.  Returns the factors of the new sigma
+    (`_sigma_from`) and the inner loop's info dict.
     """
-    lam, psi, beta, sig_logdet = sigma
-    tr = ((np.diagonal(a_bar, axis1=1, axis2=2) - (lam * (beta @ a_bar).transpose(0, 2, 1)).sum(-1))
-          / psi).sum(-1)
-    return float(-0.5 * np.dot(n_g, tr + sig_logdet))
-
-
-def _guarded_sigma_step(model_id, a_bar, w, n_g, s_bar, sigma):
-    """Run the covariance inner loop, accepting only bound-ascending steps.
-
-    The inner loop maximizes the factorized objective, which near a fixed
-    point can disagree with the traced bound by more than the convergence
-    slack.  Candidates are halved toward the previous (lam, psi) until the
-    sigma-dependent bound terms stop decreasing; the previous values win if
-    every step fails.  Returns (lam, psi, beta, log|sigma|) of the accepted
-    values (`_sigma_from`), the inner-loop info dict, and guard counters.
-    """
-    lam, psi = sigma[:2]
-    j_old = _sigma_bound_part(sigma, a_bar, n_g)
-    slack = 1e-9 * max(1.0, abs(j_old))
-
-    lam_new, psi_new, info = stage2.run_inner_loop(model_id, w, n_g, s_bar, lam, psi)
-    new = _sigma_from(lam_new, psi_new)
-    if _sigma_bound_part(new, a_bar, n_g) >= j_old - slack:
-        return *new, info, 0, False
-
-    def candidate(eta):
-        # convex combinations keep tied rows tied and psi above its floor
-        return _sigma_from(lam + eta * (lam_new - lam), psi + eta * (psi_new - psi))
-
-    def bound_at(eta):
-        return _sigma_bound_part(candidate(eta), a_bar, n_g)
-
-    # the full step failed; the halvings make up the rest of the budget
-    eta = float(stage1._halve(bound_at, j_old - slack, stage1.MAX_HALVINGS - 1))
-    if eta == 0.0:
-        return *sigma, info, stage1.MAX_HALVINGS, True
-    return *candidate(eta), info, -int(np.log2(eta)), False
+    a_bar = 0.5 * (a_bar + a_bar.transpose(0, 2, 1))
+    lam, psi, info = stage2.run_inner_loop(model_id, a_bar, n_g, np.zeros(a_bar.shape[:2]),
+                                           *sigma[:2], max_inner=SIGMA_STEP_CALLS)
+    return _sigma_from(lam, psi), info
 
 
 def _run_em(y, logc, x, labels, g, k, model_id, config):
@@ -474,10 +450,7 @@ def _run_em(y, logc, x, labels, g, k, model_id, config):
         "exp_clamped": caches["clamps"],
         "s_guard_backtracks": 0,
         "m_guard_backtracks": 0,
-        "sigma_guard_backtracks": 0,
-        "sigma_guard_rejects": 0,
         "psi_floored": 0,
-        "stage2_nonconverged_iters": 0,
         "stage2_sweeps_last": 0,
         "degenerate": False,
         "empty_component_iteration": None,
@@ -508,15 +481,10 @@ def _run_em(y, logc, x, labels, g, k, model_id, config):
 
         pi, mu = stage1.update_pi_mu(zhat, m)
 
-        w = stage2.make_stage2_stats(zhat, m, mu)
-        s_bar, mean_s = _s_means(zhat, n_g, s)
-        *sigma, info, nb, rej = _guarded_sigma_step(model_id, w + mean_s, w, n_g, s_bar, sigma)
+        a_bar = stage2.make_stage2_stats(zhat, m, mu) + _s_means(zhat, n_g, s)
+        sigma, info = _sigma_step(model_id, a_bar, n_g, sigma)
         diag["psi_floored"] += info["psi_floored"]
         diag["stage2_sweeps_last"] = info["sweeps"]
-        diag["sigma_guard_backtracks"] += nb
-        diag["sigma_guard_rejects"] += int(rej)
-        if not info["converged"]:
-            diag["stage2_nonconverged_iters"] += 1
 
         caches["quad"] = stage1._quad_batch(m, mu, sigma)
         caches["trs"] = stage1._trace_batch(sigma, s)

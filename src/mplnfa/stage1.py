@@ -354,10 +354,26 @@ def _poisson_batch(obs, m, s_diag):
     return np.exp(clipped, out=clipped), term, n_clamped
 
 
+def _split_apply(sigma, x):
+    """(lam' psi^-1 x, beta x) for every vector x (n, G, ..., d), from one
+    product of the stacked (G, 2K, d) [lam' psi^-1; beta] per component.
+
+    With sigma^-1 = psi^-1 - psi^-1 lam beta, the pair gives
+    x' sigma^-1 y = x' psi^-1 y - (lam' psi^-1 x)' (beta y).
+    """
+    lam, psi, beta, _ = sigma
+    k = lam.shape[-1]
+    lam_psi = np.swapaxes(lam, -1, -2) / psi[..., None, :]
+    ab = _comp_apply(np.concatenate((lam_psi, beta), axis=-2), x)
+    return ab[..., :k], ab[..., k:]
+
+
 def _quad_batch(m, mu, sigma):
-    """(m - mu)' sigma^-1 (m - mu) for every pair, (n, G)."""
+    """(m - mu)' sigma^-1 (m - mu) for every pair, (n, G), in the split
+    form of `_split_apply`."""
     v = m - mu
-    return (v * _sig_inv_apply(v, sigma)).sum(-1)
+    a, b = _split_apply(sigma, v)
+    return np.einsum("...d,...d->...", v / sigma[1], v) - np.einsum("...k,...k->...", a, b)
 
 
 def _trace_batch(sigma, s):
@@ -369,13 +385,11 @@ def _trace_batch(sigma, s):
     """
     lam, psi, beta, _ = sigma
     s_d, s_w = s
-    k = lam.shape[-1]
     lam_beta = (lam * np.swapaxes(beta, -1, -2)).sum(-1)  # diag(lam beta), (G, d)
-    # row c of ab is (A[:, c], B[:, c]), for column c of s_w
-    ab = _comp_apply(np.concatenate((np.swapaxes(lam, -1, -2) / psi[:, None, :], beta), axis=-2),
-                     np.swapaxes(s_w, -1, -2))
+    # row c of a and b is (A[:, c], B[:, c]), for column c of s_w
+    a, b = _split_apply(sigma, np.swapaxes(s_w, -1, -2))
     return (((_s_diag(s) - s_d * lam_beta) / psi).sum(-1)
-            - np.einsum("...ck,...ck->...", ab[..., :k], ab[..., k:]))
+            - np.einsum("...ck,...ck->...", a, b))
 
 
 def _s_of(rho, sigma):
@@ -407,10 +421,10 @@ def _s_of(rho, sigma):
     return (psi * h, s_w), sig_logdet - np.log1p(psi_rho).sum(-1) - logdet_m
 
 
-def _halve(phi_at, floor, halvings=MAX_HALVINGS):
+def _halve(phi_at, floor):
     """The step-halving search shared by the guarded updates.
 
-    Tries eta = 1/2, 1/4, ... (`halvings` values) for every entry of
+    Tries eta = 1/2, 1/4, ... (`MAX_HALVINGS` values) for every entry of
     `floor` and returns each entry's first eta whose objective is finite
     and at least its floor, or 0 where none is.  phi_at(eta) gets the
     current eta of every entry (an accepted entry keeps its own) and
@@ -418,7 +432,7 @@ def _halve(phi_at, floor, halvings=MAX_HALVINGS):
     """
     eta = np.full(np.shape(floor), 0.5)
     ok = np.zeros(eta.shape, dtype=bool)
-    for _ in range(halvings):
+    for _ in range(MAX_HALVINGS):
         phi = phi_at(eta)
         ok |= np.isfinite(phi) & (phi >= floor)
         if ok.all():

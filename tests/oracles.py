@@ -118,6 +118,19 @@ def aggregated_stage2_objective(lam, psi, w, s_bar_full, n_g):
     return total
 
 
+def sigma_bound_part(lam, psi, a_bar, n_g):
+    """Sigma-dependent terms of the responsibility-weighted total bound,
+    -1/2 sum_g n_g [log|sigma_g| + tr(sigma_g^-1 a_bar_g)], where a_bar_g
+    is the weighted mean of (m - mu)(m - mu)' + S over observations and
+    each sigma_g = lam_g lam_g' + diag(psi_g) is formed and solved densely.
+    """
+    total = 0.0
+    for lam_g, psi_g, a_g, n in zip(lam, psi, a_bar, n_g):
+        sig = lam_g @ lam_g.T + np.diag(psi_g)
+        total -= 0.5 * n * (np.linalg.slogdet(sig)[1] + np.trace(np.linalg.solve(sig, a_g)))
+    return total
+
+
 def random_spd(rng, d, scale=1.0):
     """A random symmetric positive definite matrix."""
     a = rng.standard_normal((d, d))

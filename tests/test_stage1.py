@@ -15,7 +15,7 @@ from mplnfa.stage1 import (
 import mplnfa.stage1 as stage1
 import mplnfa.em as em
 
-from oracles import dense_s, factor_form, fd_grad, random_spd
+from oracles import dense_s, factor_form, fd_grad, random_loadings_psi, random_spd
 
 
 def random_instance(rng, d, y_scale=3.0):
@@ -324,6 +324,22 @@ def test_quad_batch_matches_einsum(rng):
     mu = rng.normal(1.0, 0.5, (g, d))
     sig = np.stack([random_spd(rng, d) for _ in range(g)])
     psi, lam = factor_form(sig)
+    v = m - mu[None]
+    ref = np.einsum("ngd,gde,nge->ng", v, np.linalg.inv(sig), v)
+    np.testing.assert_allclose(stage1._quad_batch(m, mu, em._sigma_from(lam, psi)), ref,
+                               rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+@pytest.mark.parametrize("seed", range(3))
+def test_quad_batch_split_form_matches_dense_inverse(seed, k):
+    # low-rank loadings in the presets' ranges, against a dense sigma^-1
+    rng = np.random.default_rng(seed)
+    n, g, d = 9, 3, 8
+    lam, psi = (np.stack(a) for a in zip(*(random_loadings_psi(rng, d, k) for _ in range(g))))
+    sig = lam @ lam.transpose(0, 2, 1) + psi[:, :, None] * np.eye(d)
+    m = rng.normal(1.0, 0.5, (n, g, d))
+    mu = rng.normal(1.0, 0.5, (g, d))
     v = m - mu[None]
     ref = np.einsum("ngd,gde,nge->ng", v, np.linalg.inv(sig), v)
     np.testing.assert_allclose(stage1._quad_batch(m, mu, em._sigma_from(lam, psi)), ref,

@@ -380,6 +380,23 @@ def test_run_inner_loop_rejects_malformed_scatter_and_sizes(rng):
             run_inner_loop(mid, bad_w, bad_n_g, s_bar, lam0, psi0)
 
 
+def test_run_inner_loop_symmetry_check_is_relative_to_scale(rng):
+    # a second-moment matrix near 1e12 whose product rounding leaves it
+    # asymmetric by far more than 1e-8 is accepted; an asymmetry of 1e-6
+    # of its scale is not
+    mid = ModelId.from_string("UUU")
+    w, n_g, s_bar, lam0, psi0 = random_stats(rng, 2, 4, 1, mid)
+    big = 1e12 * w
+    big[:, 0, 1] *= 1.0 + 4e-16
+    big[:, 1, 0] *= 1.0 - 4e-16
+    assert np.abs(big - big.transpose(0, 2, 1)).max() > 1e-8
+    run_inner_loop(mid, big, n_g, 1e12 * s_bar, 1e6 * lam0, 1e12 * psi0, max_inner=1)
+    skew = big.copy()
+    skew[0, 0, 1] += 1e-6 * np.abs(big).max()
+    with pytest.raises(InputError, match="symmetric"):
+        run_inner_loop(mid, skew, n_g, s_bar, lam0, psi0)
+
+
 def test_run_inner_loop_reports_floor_events(rng):
     # a scatter matrix below the floor (but above the degeneracy cutoff)
     # forces psi clamping

@@ -3,8 +3,8 @@
 Exit codes: 0 on success, 1 for validation problems (bad flags or
 malformed input files), 2 for runtime failures.  All commands are
 deterministic given their flags; fitting fans out over forked worker
-processes whose number is capped by --threads (default: the CPU count)
-without affecting results.
+processes whose number is capped by --threads (default: the number of
+CPUs the process may run on) without affecting results.
 """
 
 import re
@@ -83,7 +83,8 @@ def _parse_models(text):
 @click.option("--starts", default=3, show_default=True, help="k-means seedings per G.")
 @click.option("--out-dir", "out_dir", required=True, type=click.Path(), help="Output directory.")
 @click.option("--threads", default=None, type=int,
-              help="Cap on the grid's worker processes (default: CPU count).")
+              help="Cap on the grid's worker processes "
+                   "(default: the CPUs this process may run on).")
 def fit_command(input_path, gmin, gmax, kmin, kmax, models, normalize, factors_path,
                 seed, starts, out_dir, threads):
     """Fit the model grid to a counts CSV and select by BIC."""

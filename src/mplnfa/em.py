@@ -14,7 +14,10 @@ processes.  Each triple's fit is a pure function of the data and the
 configuration, so results are identical for any worker count.
 """
 
+import contextlib
 import os
+import pickle
+import tempfile
 import threading
 from dataclasses import dataclass
 
@@ -549,11 +552,25 @@ def fit_single(data, factors, g, k, model_id, config):
 
 def _resolve_threads(threads):
     if threads is None:
-        threads = os.cpu_count() or 1
+        # The CPUs this process may run on, which a cpuset or `taskset` can
+        # make fewer than the host's.
+        threads = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                   else os.cpu_count() or 1)
     threads = int(threads)
     if threads < 1:
         raise InputError("thread count must be at least 1")
     return min(threads, 64)
+
+
+def _pool_size(workers, count):
+    """Worker processes `_completed` runs `count` calls on: none (a plain
+    loop in the calling thread) when one worker would do, when the process
+    has other Python threads (forking them is unsafe), or where the
+    platform cannot fork."""
+    workers = min(workers, count)
+    if workers < 2 or threading.active_count() > 1 or not hasattr(os, "fork"):
+        return 0
+    return workers
 
 
 # The triple function of a pool worker process, set there by `_set_task`.
@@ -572,15 +589,12 @@ def _run_task(i):
 def _completed(one, count, workers):
     """Yield (i, one(i)) for i in range(count), in the order they finish.
 
-    Up to `workers` forked processes run the calls.  Fork hands `one`,
-    with the data it closes over, to each worker by inheritance, so only
-    the indices and the results are pickled.  The calls run in a plain
-    loop in the calling thread instead when one worker would do, when
-    the process has other Python threads (forking them is unsafe), or
-    where the platform cannot fork.
+    `workers` forked processes run the calls (`_pool_size`), or with 0 a
+    plain loop in the calling thread does.  Fork hands `one`, with the
+    data it closes over, to each worker by inheritance, so only the
+    indices and the results are pickled.
     """
-    workers = min(workers, count)
-    if workers < 2 or threading.active_count() > 1 or not hasattr(os, "fork"):
+    if not workers:
         for i in range(count):
             yield i, one(i)
         return
@@ -592,15 +606,36 @@ def _completed(one, count, workers):
                              initializer=_set_task, initargs=(one,)) as pool:
         futures = {pool.submit(_run_task, i): i for i in range(count)}
         for fut in as_completed(futures):
-            yield futures.pop(fut), fut.result()  # a future holds its fit until released
+            yield futures.pop(fut), fut.result()
+
+
+def _spool_fit(spool, i, entry, fit):
+    """(entry, path) of triple i, its fit pickled to a file in the directory
+    `spool`: a pool worker's result, so that only the entry and the path
+    cross the result pipe."""
+    if fit is None:
+        return entry, None
+    path = os.path.join(spool, f"{i}.pickle")
+    with open(path, "wb") as fh:
+        pickle.dump(fit, fh, protocol=pickle.HIGHEST_PROTOCOL)
+    return entry, path
+
+
+def _load_fit(path):
+    """The fit that `_spool_fit` wrote to `path`."""
+    with open(path, "rb") as fh:
+        return pickle.load(fh)
 
 
 def grid_search(data, factors, config, threads=None):
     """Fit every (G, K, model) triple and select by BIC.
 
     `threads` caps the worker processes (`_completed`); it never changes
-    the result.  Failed or degenerate triples, including every triple of
-    a G whose k-means start fails, are recorded in the summaries and
+    the result.  Workers spool their fits to a temporary directory
+    (`tempfile`'s default location, which honours TMPDIR) that is removed
+    before the call returns or raises; only the selected fit is read back
+    from it.  Failed or degenerate triples, including every triple of a G
+    whose k-means start fails, are recorded in the summaries and
     excluded from selection; `NumericalError` is raised only when no
     triple is left to select.  The returned entries follow the triple
     order sorted by (G, K, model position); the selected fit is the
@@ -649,15 +684,24 @@ def grid_search(data, factors, config, threads=None):
             n_iter=fit.n_iter, error="", elbo_trace=tuple(fit.elbo_trace),
         ), fit
 
-    # Fits are taken as they finish and only the best is kept, so no
-    # finished fit waits in memory for an earlier triple to finish.
+    # Entries are taken as they finish and only the best fit is kept, so no
+    # finished fit waits in memory for an earlier triple to finish.  Pooled
+    # fits wait in the spool instead, and only the selected one is read
+    # back; the spool outlives the pool, which is shut down first.
+    workers = _pool_size(threads, len(triples))
+    spool = tempfile.TemporaryDirectory(prefix="mplnfa-") if workers else contextlib.nullcontext()
     results = [None] * len(triples)
     best_key, best_fit = (np.inf, 0), None
-    for i, (entry, fit) in _completed(_one, len(triples), threads):
-        results[i] = entry
-        key = (entry.bic, i)
-        if not entry.degenerate and np.isfinite(key[0]) and key < best_key:
-            best_key, best_fit = key, fit
+    with spool as spool_dir:
+        task = (lambda i: _spool_fit(spool_dir, i, *_one(i))) if workers else _one
+        with contextlib.closing(_completed(task, len(triples), workers)) as done:
+            for i, (entry, fit) in done:
+                results[i] = entry
+                key = (entry.bic, i)
+                if not entry.degenerate and np.isfinite(key[0]) and key < best_key:
+                    best_key, best_fit = key, fit
+        if workers and best_fit is not None:
+            best_fit = _load_fit(best_fit)
 
     entries = tuple(results)
     if best_fit is None:

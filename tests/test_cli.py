@@ -4,6 +4,7 @@ import json
 import os
 import shutil
 import signal
+import tempfile
 
 import pytest
 
@@ -334,14 +335,19 @@ def test_fit_whose_every_fitted_state_is_rejected_exits_two(tmp_path, capsys, mo
 
 def test_fit_whose_worker_process_dies_exits_two_without_hanging(tmp_path, capsys, monkeypatch):
     # A worker that dies breaks the pool: the command fails at runtime and
-    # returns at once rather than waiting for a result that never comes.
+    # returns at once rather than waiting for a result that never comes,
+    # and the spool directory of the pooled fits is removed all the same.
     sim = tmp_path / "sim"
     assert simulate_small(sim, replicates=1) == 0
     test_pid = os.getpid()
     real_run = em._run_em
+    temp = tmp_path / "temp"
+    temp.mkdir()
+    seen = tmp_path / "spools_seen_by_the_dying_worker.txt"
 
     def die_at_two(*args):
         if args[4] == 2 and os.getpid() != test_pid:  # g; never end the test's own process
+            seen.write_text(" ".join(p.name for p in temp.glob("mplnfa-*")), encoding="utf-8")
             os._exit(1)
         return real_run(*args)
 
@@ -350,6 +356,7 @@ def test_fit_whose_worker_process_dies_exits_two_without_hanging(tmp_path, capsy
         pytest.fail("mplnfa fit still waits 60 s after its worker died")
 
     monkeypatch.setattr(em, "_run_em", die_at_two)
+    monkeypatch.setattr(tempfile, "tempdir", str(temp))
     previous = signal.signal(signal.SIGALRM, hung)
     signal.alarm(60)
     try:
@@ -359,3 +366,5 @@ def test_fit_whose_worker_process_dies_exits_two_without_hanging(tmp_path, capsy
         signal.signal(signal.SIGALRM, previous)
     assert code == 2
     assert "failure:" in capsys.readouterr().err
+    assert seen.read_text(encoding="utf-8").startswith("mplnfa-")
+    assert list(temp.iterdir()) == []

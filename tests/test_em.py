@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import tempfile
 import threading
 import time
 import tracemalloc
@@ -668,6 +669,51 @@ def test_grid_search_breaks_ties_by_grid_position_not_completion(rng, monkeypatc
     assert (grid.best.g, grid.best.k, grid.best.model_id) == triples[0]
     assert [(e.g, e.k, e.model_id) for e in grid.entries] == triples
     assert all(e.bic == 1.0 for e in grid.entries)
+
+
+@pytest.mark.parametrize("failing", [False, True], ids=["all_fit", "one_fails"])
+def test_grid_search_reads_back_only_the_selected_fit_and_removes_its_spool(
+        rng, monkeypatch, tmp_path, failing):
+    # Workers spool their fits to a temporary directory; the caller reads
+    # one file back, and the directory is gone when the call returns, also
+    # after a triple failed in its worker.
+    data, factors, _ = _grid_data(rng)
+    cfg = _quick_config(g_range=(1, 2), k_range=(1, 1),
+                        models=(ModelId.from_string("UUU"), ModelId.from_string("CCC")))
+    test_pid = os.getpid()
+    real_run, real_load = em._run_em, em._load_fit
+    loaded = []
+
+    def flaky(*args):
+        if failing and args[4] == 2 and os.getpid() != test_pid:  # g, in a worker
+            raise NumericalError("synthetic failure")
+        return real_run(*args)
+
+    def counting_load(path):
+        loaded.append(path)
+        return real_load(path)
+
+    monkeypatch.setattr(em, "_run_em", flaky)
+    monkeypatch.setattr(em, "_load_fit", counting_load)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    grid = grid_search(data, factors, cfg, threads=2)
+    assert len(loaded) == 1
+    spool = os.path.dirname(loaded[0])
+    assert os.path.dirname(spool) == str(tmp_path)
+    assert os.path.basename(spool).startswith("mplnfa-")
+    assert list(tmp_path.glob("mplnfa-*")) == []
+    errors = [e.error for e in grid.entries]
+    if failing:
+        assert errors == ["", "", "synthetic failure", "synthetic failure"]
+        assert grid.best.g == 1
+    else:
+        assert errors == [""] * 4
+
+
+def test_resolve_threads_counts_only_the_cpus_this_process_may_run_on(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert em._resolve_threads(None) == 1
+    assert em._resolve_threads(3) == 3
 
 
 def test_grid_search_from_a_second_thread_runs_in_the_callers_process(rng, monkeypatch):

@@ -26,7 +26,12 @@ and the final bound at repr precision, then one line of the selected
 fit's guard and clamp counters from its `diagnostics`.  Two such listings
 agree when every line matches except the bound, and the bounds agree to
 a relative tolerance; equal counter lines show that the guards took the
-same decisions.
+same decisions.  `--against FILE` makes that check against a saved
+listing, with `--rtol` (default 1e-10) as the tolerance, and exits 1
+naming each line that does not agree:
+
+    python3 scripts/artifact_digest.py --values --src ../parent/src > before.txt
+    python3 scripts/artifact_digest.py --values --against before.txt --rtol 1e-10
 """
 
 import argparse
@@ -75,6 +80,28 @@ def _digest(path):
     return hashlib.sha256(data).hexdigest()
 
 
+def compare_values(listing, saved, rtol):
+    """Where two `--values` listings disagree, as messages; empty when they
+    agree.  Every line must match exactly, except that a grid entry's final
+    bound (its last field) may differ from the saved one by at most rtol
+    relative to it; a counter line has no such field."""
+    problems = []
+    if len(listing) != len(saved):
+        problems.append(f"{len(listing)} lines against {len(saved)} saved")
+    for no, (line, ref) in enumerate(zip(listing, saved), start=1):
+        if line == ref:
+            continue
+        head, _, bound = line.rpartition(" ")
+        ref_head, _, ref_bound = ref.rpartition(" ")
+        try:
+            close = abs(float(bound) - float(ref_bound)) <= rtol * abs(float(ref_bound))
+        except ValueError:
+            close = False
+        if not (head == ref_head and close):
+            problems.append(f"line {no}: {line!r} against saved {ref!r}")
+    return problems
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default=str(ROOT / "src"),
@@ -82,22 +109,40 @@ def main(argv=None):
     parser.add_argument("--values", action="store_true",
                         help="print every grid entry's (G, K, model, n_iter, loglik) and the "
                              "selected fit's guard and clamp counters, not digests")
+    parser.add_argument("--against", metavar="FILE",
+                        help="with --values: compare the listing with a saved one and exit 1 "
+                             "where a line differs or a bound differs beyond --rtol")
+    parser.add_argument("--rtol", type=float, default=1e-10,
+                        help="relative tolerance on the bounds for --against (default: 1e-10)")
     args = parser.parse_args(argv)
+    if args.against and not args.values:
+        parser.error("--against compares --values listings")
     env = dict(os.environ, PYTHONPATH=str(Path(args.src).resolve()))
     with tempfile.TemporaryDirectory() as tmp:
         for command in COMMANDS:
             subprocess.run([sys.executable, "-m", "mplnfa", *command],
                            cwd=tmp, env=env, check=True, stdout=subprocess.DEVNULL)
+        lines = []
         for path in sorted(Path(tmp).rglob("*")):
             if args.values and path.name == "report.json":
                 report = json.loads(path.read_text(encoding="utf-8"))
                 for e in report["grid"]:
-                    print(f"{path.relative_to(tmp)}  {e['g']} {e['k']} {e['model']} "
-                          f"{e['n_iter']} {e['loglik']!r}")
-                print(f"{path.relative_to(tmp)}  diagnostics "
-                      + " ".join(f"{c}={report['diagnostics'][c]}" for c in COUNTERS))
+                    lines.append(f"{path.relative_to(tmp)}  {e['g']} {e['k']} {e['model']} "
+                                 f"{e['n_iter']} {e['loglik']!r}")
+                lines.append(f"{path.relative_to(tmp)}  diagnostics "
+                             + " ".join(f"{c}={report['diagnostics'][c]}" for c in COUNTERS))
             elif path.is_file() and not args.values:
-                print(f"{_digest(path)}  {path.relative_to(tmp)}")
+                lines.append(f"{_digest(path)}  {path.relative_to(tmp)}")
+    print("\n".join(lines))
+    if args.against:
+        saved = Path(args.against).read_text(encoding="utf-8").splitlines()
+        problems = compare_values(lines, saved, args.rtol)
+        for problem in problems:
+            print(f"mismatch: {problem}", file=sys.stderr)
+        if problems:
+            return 1
+        print(f"{len(lines)} lines agree with {args.against} (bounds to rtol {args.rtol:g})",
+              file=sys.stderr)
     return 0
 
 

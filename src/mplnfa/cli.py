@@ -1,10 +1,11 @@
 """Command-line interface: fit, simulate, evaluate.
 
 Exit codes: 0 on success, 1 for validation problems (bad flags or
-malformed input files), 2 for runtime failures.  All commands are
-deterministic given their flags; fitting fans out over forked worker
-processes whose number is capped by --threads (default: the number of
-CPUs the process may run on) without affecting results.
+malformed input files), 2 for runtime failures, 130 when interrupted
+(Ctrl-C).  All commands are deterministic given their flags; fitting
+fans out over forked worker processes whose number is capped by
+--threads (default: the number of CPUs the process may run on) without
+affecting results.
 """
 
 import re
@@ -248,6 +249,9 @@ def main(argv=None):
     except InputError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
+    except click.exceptions.Abort:  # click's form of KeyboardInterrupt
+        click.echo("interrupted", err=True)
+        sys.exit(130)
     except Exception as exc:  # runtime failure, distinct from bad input
         click.echo(f"failure: {exc}", err=True)
         sys.exit(2)

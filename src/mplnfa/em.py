@@ -243,8 +243,10 @@ def _init_params(x, labels, g, k, model_id):
 
 
 def _prepare(data, factors):
-    """Check the data/factors pair; return the counts y, log C and the
-    transformed data x = log(y + 1) - log C_i."""
+    """Check the data/factors pair; return the counts y, log C, the
+    transformed data x = log(y + 1) - log C_i and each row's sum of the
+    per-count constant (`_count_constant`), which every fit of the data
+    shares."""
     if not isinstance(data, CountMatrix):
         raise InputError("data must be a CountMatrix")
     if not isinstance(factors, NormalizationFactors):
@@ -255,7 +257,7 @@ def _prepare(data, factors):
         )
     y = data.values.astype(np.float64)
     logc = np.log(factors.c)
-    return y, logc, np.log1p(y) - logc[:, None]
+    return y, logc, np.log1p(y) - logc[:, None], _count_constant(y).sum(1)
 
 
 def _check_ranges(data, g_range, k_range):
@@ -282,45 +284,50 @@ def initialize(data, factors, g, k, seed, n_starts=3, model_id=None):
 
     Returns (MixtureModel, VariationalState).
     """
-    y, logc, x = _prepare(data, factors)
+    y, logc, x, pois_const = _prepare(data, factors)
     if model_id is None:
         model_id = ModelId.from_string("UUU")
     g, k = int(g), int(k)
     _check_ranges(data, (g, g), (k, k))
     labels = _start_labels(x, g, seed, n_starts)
-    pi, mu, sigma, m, s, _, f = _start(y, logc, x, labels, g, k, model_id)
+    pi, mu, sigma, m, s, _, f = _start(y, logc, x, labels, g, k, model_id, pois_const)
     zhat = np.zeros((data.n, g))
     zhat[np.arange(data.n), labels] = 1.0
     return _model_and_state(g, k, model_id, pi, mu, sigma, m, s, zhat, f)
 
 
-def _start(y, logc, x, labels, g, k, model_id):
+def _start(y, logc, x, labels, g, k, model_id, pois_const):
     """Starting point of a fit from k-means labels.
 
     Returns (pi, mu, sigma, m, s, caches, f): the eigen-initialized
     parameters with sigma's factors (`_sigma_from`), variational means at
     the transformed data, every S block INIT_S_SCALE * I (s_d at
-    INIT_S_SCALE, s_w zero), and the bound pieces at that point.
+    INIT_S_SCALE, s_w zero, in the layout of `stage1`), and the bound
+    pieces at that point.
     """
     n, d = y.shape
     pi, mu, lam, psi = _init_params(x, labels, g, k, model_id)
     m = np.repeat(x[:, None, :], g, axis=1)
-    s = (np.full((n, g, d), INIT_S_SCALE), np.zeros((n, g, d, k)))
+    s = (np.full((n, g, d), INIT_S_SCALE), np.zeros((n, g, k, d)))
+    s = (*s, stage1._s_diag(s))
     logdet_s = np.full((n, g), d * np.log(INIT_S_SCALE))  # log|INIT_S_SCALE * I|
     sigma = _sigma_from(lam, psi)
-    caches = _make_caches(y, logc, x, m, s, mu, sigma, logdet_s)
+    caches = _make_caches(y, logc, x, m, s, mu, sigma, logdet_s, pois_const)
     f = _assemble_f(caches, sigma[3], d)
     return pi, mu, sigma, m, s, caches, f
 
 
 def _model_and_state(g, k, model_id, pi, mu, sigma, m, s, zhat, f):
     """The fitted model and the variational state, with the factor
-    posterior (p, q) at sigma's (lam, psi)."""
+    posterior (p, q) at sigma's (lam, psi).  The state's s_w (n, G, d, K)
+    is made C-contiguous here, so that its dense S is the same product
+    whether the fit was built in this process or unpickled."""
     lam, psi, beta, _ = sigma
     p = np.einsum("gkd,ngd->ngk", beta, m - mu[None])
     q = stage2._q_from(lam, psi)
     model = MixtureModel.from_arrays(g, k, model_id, pi, mu, lam, psi)
-    return model, VariationalState(m=m, s_d=s[0], s_w=s[1], p=p, q=q, zhat=zhat, f=f)
+    s_w = np.ascontiguousarray(np.swapaxes(s[1], -1, -2))
+    return model, VariationalState(m=m, s_d=s[0], s_w=s_w, p=p, q=q, zhat=zhat, f=f)
 
 
 # ---------------------------------------------------------------------------
@@ -369,20 +376,21 @@ def _sigma_from(lam, psi):
     return lam, psi, beta, np.log(psi).sum(-1) + np.linalg.slogdet(core)[1]
 
 
-def _make_caches(y, logc, x, m, s, mu, sigma, logdet_s):
+def _make_caches(y, logc, x, m, s, mu, sigma, logdet_s, pois_const):
     """Bound pieces reused across steps within an outer iteration.
 
     logdet_s (n, G) is log|S| of every block, known without factorizing S;
-    pois_const (n,) is what the term of `stage1._poisson_batch` leaves out.
+    pois_const (n,) is what the term of `stage1._poisson_batch` leaves out
+    (`_prepare`).
     """
-    rate, pois, clamps = stage1._poisson_batch((y, logc, x), m, stage1._s_diag(s))
+    rate, pois, clamps = stage1._poisson_batch((y, logc, x), m, s[2])
     return {
         "rate": rate,
         "pois": pois,
         "quad": stage1._quad_batch(m, mu, sigma),
         "trs": stage1._trace_batch(sigma, s),
         "logdet_s": logdet_s,
-        "pois_const": _count_constant(y).sum(1),
+        "pois_const": pois_const,
         "clamps": clamps,
     }
 
@@ -412,12 +420,12 @@ def _assemble_f(caches, sig_logdet, d):
 def _s_means(zhat, n_g, s):
     """Responsibility-weighted means of S over observations, (G, d, d),
     built from the factors of S."""
-    s_d, s_w = s
-    n, g, d, k = s_w.shape
+    s_d, s_w = s[:2]
+    n, g, k, d = s_w.shape
     idx = np.arange(d)
-    # sum_i zhat_ig W_ig W_ig' as one product of the stacked sqrt(zhat) W',
-    # written (G, n, K, d) in the pass that weights it, with its transpose
-    wz = np.multiply(np.sqrt(zhat.T)[..., None, None], s_w.transpose(1, 0, 3, 2), order="C")
+    # sum_i zhat_ig W_ig' W_ig as one product of the stacked sqrt(zhat) W,
+    # written (G, n, K, d) in the pass that weights it
+    wz = np.multiply(np.sqrt(zhat.T)[..., None, None], s_w.transpose(1, 0, 2, 3), order="C")
     wz = wz.reshape(g, n * k, d)
     mean_s = wz.transpose(0, 2, 1) @ wz
     mean_s[:, idx, idx] += np.einsum("ng,ngd->gd", zhat, s_d)
@@ -442,10 +450,11 @@ def _sigma_step(model_id, a_bar, n_g, sigma):
     return _sigma_from(lam, psi), info
 
 
-def _run_em(y, logc, x, labels, g, k, model_id, config):
-    """Alternate the two stages from a label-based start to convergence."""
+def _run_em(y, logc, x, labels, g, k, model_id, config, pois_const):
+    """Alternate the two stages from a label-based start to convergence;
+    pois_const is the per-row constant of `_prepare`."""
     n, d = y.shape
-    pi, mu, sigma, m, s, caches, f = _start(y, logc, x, labels, g, k, model_id)
+    pi, mu, sigma, m, s, caches, f = _start(y, logc, x, labels, g, k, model_id, pois_const)
     zhat, bound = stage1._e_step(f, pi)
     trace = [bound]
 
@@ -536,13 +545,13 @@ def fit_single(data, factors, g, k, model_id, config):
     Starts from the (config.seed, G) k-means labels, so the result is
     bitwise the grid-search cell of the same triple.
     """
-    y, logc, x = _prepare(data, factors)
+    y, logc, x, pois_const = _prepare(data, factors)
     g, k = int(g), int(k)
     if not isinstance(model_id, ModelId):
         raise InputError("model_id must be a ModelId")
     _check_ranges(data, (g, g), (k, k))
     labels = _start_labels(x, g, config.seed, config.n_starts)
-    return _run_em(y, logc, x, labels, g, k, model_id, config)
+    return _run_em(y, logc, x, labels, g, k, model_id, config, pois_const)
 
 
 # ---------------------------------------------------------------------------
@@ -642,7 +651,7 @@ def grid_search(data, factors, config, threads=None):
     BIC argmin with ties broken by that order, independent of worker
     scheduling.
     """
-    y, logc, x = _prepare(data, factors)
+    y, logc, x, pois_const = _prepare(data, factors)
     if not isinstance(config, FitConfig):
         raise InputError("config must be a FitConfig")
     _check_ranges(data, config.g_range, config.k_range)
@@ -670,7 +679,7 @@ def grid_search(data, factors, config, threads=None):
         try:
             if g in start_errors:
                 raise NumericalError(start_errors[g])
-            fit = _run_em(y, logc, x, labels_by_g[g], g, k, model, config)
+            fit = _run_em(y, logc, x, labels_by_g[g], g, k, model, config, pois_const)
         except (NumericalError, np.linalg.LinAlgError) as exc:
             return GridEntry(
                 g=g, k=k, model_id=model, bic=np.nan, icl=np.nan, loglik=np.nan,

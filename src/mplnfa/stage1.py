@@ -257,12 +257,16 @@ def update_pi_mu(zhat, m):
 # covariance travels as its factors sigma = (lam, psi, beta, logdet):
 # lam (G, d, K), psi (G, d), beta = lam' sigma^-1 (G, K, d) and
 # log|sigma| (G,), from em._sigma_from.  A variational covariance travels
-# as s = (s_d, s_w), S = diag(s_d) + s_w s_w' with s_d (n, G, d) and
-# s_w (n, G, d, K).  Every kernel costs O(d K^2) per pair and forms no
-# d x d matrix.  The guards run the same kernels on the b pairs they pull
-# back, laid out as one row: per-pair arrays (1, b, ...) and sigma taken
-# at those pairs' components (`_take`).  All kernels are pure functions;
-# em._run_em owns caching of repeated terms.
+# as s = (s_d, s_w, s_diag), S = diag(s_d) + s_w' s_w with s_d (n, G, d),
+# the factor K-major as s_w (n, G, K, d), and s_diag = diag S (n, G, d),
+# made once where S is made (`_s_of`, em._start) and read by the Poisson
+# terms, the m step and `_trace_batch`.  A full S step takes
+# tr(sigma^-1 S) in closed form at the rho it was made from; `_trace_batch`
+# serves an S made at another sigma.  Every kernel costs O(d K^2) per pair
+# and forms no d x d matrix.  The guards run the same kernels on the b
+# pairs they pull back, laid out as one row: per-pair arrays (1, b, ...)
+# and sigma taken at those pairs' components (`_take`).  All kernels are
+# pure functions; em._run_em owns caching of repeated terms.
 
 
 def _e_step(f, pi):
@@ -299,27 +303,47 @@ def _comp_apply(a, x):
     return np.swapaxes(out.reshape(*xg.shape[:-1], a.shape[-2]), 0, 1)
 
 
-def _tri_inv(ell):
-    """Inverses of a stack of lower-triangular matrices with a positive
-    diagonal, by forward substitution over the whole stack at once."""
-    inv = np.zeros_like(ell)
-    for i in range(ell.shape[-1]):
-        inv[..., i, i] = 1.0 / ell[..., i, i]
-        inv[..., i, :i] = -np.einsum("...m,...mj->...j", ell[..., i, :i],
-                                     inv[..., :i, :i]) * inv[..., i, i, None]
-    return inv
+def _chol_inv(mat):
+    """Inverses of the Cholesky factors of a stack of SPD matrices, held
+    entry by entry as contiguous planes mat (K, K, ...), and their
+    log-determinants from the pivots.  Raises `NumericalError` at a pivot
+    that is not positive, NaN included."""
+    k = mat.shape[0]
+    ell = np.zeros_like(mat)
+    logdet = np.zeros(mat.shape[2:])
+    for i in range(k):
+        for j in range(i + 1):
+            acc = mat[i, j].copy()
+            for q in range(j):
+                acc -= ell[i, q] * ell[j, q]
+            if i > j:
+                ell[i, j] = acc / ell[j, j]
+            elif np.all(acc > 0):
+                logdet += np.log(acc)
+                ell[i, i] = np.sqrt(acc)
+            else:
+                raise NumericalError("covariance refresh failed: Matrix is not positive definite")
+    inv = np.zeros_like(mat)
+    for i in range(k):
+        inv[i, i] = 1.0 / ell[i, i]
+        for j in range(i):
+            acc = ell[i, j] * inv[j, j]
+            for q in range(j + 1, i):
+                acc += ell[i, q] * inv[q, j]
+            inv[i, j] = -acc * inv[i, i]
+    return inv, logdet
 
 
 def _s_diag(s):
-    """diag S = s_d + row sums of s_w^2, (..., d)."""
-    s_d, s_w = s
-    return s_d + np.einsum("...k,...k->...", s_w, s_w)
+    """diag S = s_d + the sum of s_w^2 over the K planes, (..., d)."""
+    s_d, s_w = s[:2]
+    return s_d + np.einsum("...kd,...kd->...d", s_w, s_w)
 
 
 def _s_apply(s, x):
-    """S x = s_d x + s_w (s_w' x) for every pair, (..., d)."""
-    s_d, s_w = s
-    return s_d * x + (s_w @ (np.swapaxes(s_w, -1, -2) @ x[..., None]))[..., 0]
+    """S x = s_d x + s_w' (s_w x) for every pair, (..., d)."""
+    s_d, s_w = s[:2]
+    return s_d * x + np.einsum("...kd,...k->...d", s_w, np.einsum("...kd,...d->...k", s_w, x))
 
 
 def _sig_inv_apply(x, sigma):
@@ -381,15 +405,21 @@ def _trace_batch(sigma, s):
 
     With sigma^-1 = psi^-1 (I - lam beta), tr(sigma^-1 S) is
     tr(psi^-1 S) - tr(psi^-1 lam beta diag(s_d)) - <A, B>, where
-    A = lam' psi^-1 s_w and B = beta s_w are K x K.
+    A = lam' psi^-1 s_w' and B = beta s_w' are K x K.
     """
     lam, psi, beta, _ = sigma
-    s_d, s_w = s
+    s_d, s_w, s_diag = s
     lam_beta = (lam * np.swapaxes(beta, -1, -2)).sum(-1)  # diag(lam beta), (G, d)
-    # row c of a and b is (A[:, c], B[:, c]), for column c of s_w
-    a, b = _split_apply(sigma, np.swapaxes(s_w, -1, -2))
-    return (((_s_diag(s) - s_d * lam_beta) / psi).sum(-1)
+    # row c of a and b is (A[:, c], B[:, c]), for row c of s_w
+    a, b = _split_apply(sigma, s_w)
+    return (((s_diag - s_d * lam_beta) / psi).sum(-1)
             - np.einsum("...ck,...ck->...", a, b))
+
+
+def _s_trace(rho, s_diag):
+    """tr(sigma^-1 S) at S = S(rho) of `_s_of`: sigma^-1 S = I - diag(rho) S,
+    so it is d - sum_j rho_j S_jj, (n, G)."""
+    return s_diag.shape[-1] - np.einsum("...d,...d->...", rho, s_diag)
 
 
 def _s_of(rho, sigma):
@@ -401,24 +431,26 @@ def _s_of(rho, sigma):
         M = I + lam' diag(rho h) lam,
         log|S| = log|sigma| - sum log(1 + psi rho) - log|M|,
 
-    so s_d = psi h and s_w = V L^-T, with L the Cholesky factor of the
+    so s_d = psi h and s_w = L^-1 V', with L the Cholesky factor of the
     K x K M.  M has eigenvalues >= 1, and no term cancels.  rho (n, G, d)
-    must be positive.  Returns ((s_d, s_w), log|S|).
+    must be positive.  Returns ((s_d, s_w, diag S), log|S|).
     """
     lam, psi, _, sig_logdet = sigma
-    g, d, k = lam.shape
+    g, _, k = lam.shape
     psi_rho = psi * rho
     h = 1.0 / (1.0 + psi_rho)
-    # M - I = sum_j rho_j h_j lam_j lam_j' from the rows' outer products
-    outer = (lam[..., :, None] * lam[..., None, :]).reshape(g, d, k * k)
-    mat_m = np.eye(k) + _comp_apply(np.swapaxes(outer, -1, -2), rho * h).reshape(*h.shape[:2], k, k)
-    try:
-        ell = np.linalg.cholesky(mat_m)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"covariance refresh failed: {exc}") from None
-    s_w = h[..., None] * np.swapaxes(_comp_apply(lam, _tri_inv(ell)), -1, -2)
-    logdet_m = 2.0 * np.log(np.diagonal(ell, axis1=-2, axis2=-1)).sum(-1)
-    return (psi * h, s_w), sig_logdet - np.log1p(psi_rho).sum(-1) - logdet_m
+    lam_t = np.swapaxes(lam, -1, -2)
+    # M - I = sum_j rho_j h_j lam_j lam_j', one product per component,
+    # laid out as contiguous (K, K, n, G) planes
+    outer = (lam_t[:, :, None, :] * lam_t[:, None, :, :]).reshape(g, k * k, -1)
+    mat_m = outer @ np.transpose(rho * h, (1, 2, 0))
+    mat_m = np.ascontiguousarray(mat_m.transpose(1, 2, 0)).reshape(k, k, *h.shape[:2])
+    mat_m[np.arange(k), np.arange(k)] += 1.0
+    ell_inv, logdet_m = _chol_inv(mat_m)
+    s_w = np.ascontiguousarray(ell_inv.transpose(2, 3, 0, 1)) @ lam_t
+    s_w *= h[..., None, :]
+    s_d = psi * h
+    return (s_d, s_w, _s_diag((s_d, s_w))), sig_logdet - np.log1p(psi_rho).sum(-1) - logdet_m
 
 
 def _halve(phi_at, floor):
@@ -474,8 +506,9 @@ def _update_s_guarded(sigma, obs, m, s, trs, logdet_s, pois, rate):
     """Batched covariance refresh with an ascent guard.
 
     One application of the fixed-point map S = (sigma^-1 + diag r)^-1 at
-    the rates r, built in factor form by `_s_of`.  A pair whose bound
-    terms -tr(sigma^-1 S)/2 + log|S|/2 + the Poisson term decrease tries
+    the rates r, built in factor form by `_s_of`, with tr(sigma^-1 S)
+    in closed form (`_s_trace`).  A pair whose bound terms
+    -tr(sigma^-1 S)/2 + log|S|/2 + the Poisson term decrease tries
     S(r / eta) for eta = 1/2, 1/4, ... and keeps its previous S, with
     its cached pieces, if no candidate does better (`_guard_pairs`).
     Takes and returns the cached bound pieces that depend on S; `rate`
@@ -485,18 +518,19 @@ def _update_s_guarded(sigma, obs, m, s, trs, logdet_s, pois, rate):
     n_guarded); clamps counts the clamped rates of the full step's S.
     """
     s_new, logdet_new = _s_of(rate, sigma)
-    trs_new = _trace_batch(sigma, s_new)
-    rate_new, pois_new, clamps = _poisson_batch(obs, m, _s_diag(s_new))
+    trs_new = _s_trace(rate, s_new[2])
+    rate_new, pois_new, clamps = _poisson_batch(obs, m, s_new[2])
 
     def at(eta, i, j):
         """Objectives and pieces (S, tr(sigma^-1 S), log|S|, rates,
         Poisson term) at S(r / eta) of pairs (i, j)."""
-        sig_c = _take(sigma, j)
-        s_c, logdet_c = _s_of(rate[None, i, j] / eta[:, None], sig_c)
-        rate_c, pois_c, _ = _poisson_batch(tuple(a[i] for a in obs), m[i, j], _s_diag(s_c)[0])
-        tr_c = _trace_batch(sig_c, s_c)[0]
+        rho = rate[i, j] / eta[:, None]
+        s_c, logdet_c = _s_of(rho[None], _take(sigma, j))
+        s_c = tuple(a[0] for a in s_c)
+        rate_c, pois_c, _ = _poisson_batch(tuple(a[i] for a in obs), m[i, j], s_c[2])
+        tr_c = _s_trace(rho, s_c[2])
         return (-0.5 * tr_c + 0.5 * logdet_c[0] + pois_c,
-                (s_c[0][0], s_c[1][0], tr_c, logdet_c[0], rate_c, pois_c))
+                (*s_c, tr_c, logdet_c[0], rate_c, pois_c))
 
     new = (*s_new, trs_new, logdet_new, rate_new, pois_new)
     n_guarded = _guard_pairs(-0.5 * trs + 0.5 * logdet_s + pois, new,
@@ -514,7 +548,7 @@ def _update_m_guarded(obs, sigma, mu, m, s, rate, pois, quad):
     evaluated at (m, diag(s)) and `quad` at (m, mu).  Returns (m_new,
     rate, pois, quad, clamps, n_guarded) with the caches refreshed at m_new.
     """
-    s_diag = _s_diag(s)
+    s_diag = s[2]
     grad = obs[0][:, None, :] - rate - _sig_inv_apply(m - mu, sigma)
     if not np.all(np.isfinite(grad)):
         raise NumericalError("non-finite gradient in batched mean update")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mplnfa import stage1
 from mplnfa.core import CountMatrix, NormalizationFactors
 
 
@@ -21,3 +22,11 @@ def make_counts(values, sample_ids=None, var_ids=None):
 
 def unit_factors(n):
     return NormalizationFactors.ones(n)
+
+
+def loop_s(s_d, s_w):
+    """The fitting loop's S tuple (s_d, s_w (..., K, d), diag S) of the
+    factor form diag(s_d) + s_w s_w' with s_w (..., d, K); diag S is made
+    as the loop makes it (`stage1._s_diag`)."""
+    s = (s_d, np.ascontiguousarray(np.swapaxes(s_w, -1, -2)))
+    return (*s, stage1._s_diag(s))

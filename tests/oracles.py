@@ -144,9 +144,11 @@ def random_loadings_psi(rng, d, k):
     return lam, psi
 
 
-def dense_s(s_d, s_w):
-    """Dense covariances diag(s_d) + s_w s_w' of a factor-form stack."""
-    return s_w @ np.swapaxes(s_w, -1, -2) + s_d[..., None] * np.eye(s_d.shape[-1])
+def dense_s(s):
+    """Dense covariances diag(s_d) + s_w' s_w of a factor-form stack held
+    as the fitting loop holds it, s = (s_d, s_w (..., K, d), diag S)."""
+    s_d, s_w = s[:2]
+    return np.swapaxes(s_w, -1, -2) @ s_w + s_d[..., None] * np.eye(s_d.shape[-1])
 
 
 def factor_form(a):

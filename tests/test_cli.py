@@ -8,7 +8,7 @@ import tempfile
 
 import pytest
 
-from mplnfa import em
+from mplnfa import cli, em
 from mplnfa.cli import main
 from mplnfa.core import InputError, MixtureModel
 
@@ -331,6 +331,23 @@ def test_fit_whose_every_fitted_state_is_rejected_exits_two(tmp_path, capsys, mo
     capsys.readouterr()
     assert fit_small(sim / "counts_r000.csv", tmp_path / "fit") == 2
     assert "failure:" in capsys.readouterr().err
+
+
+def test_interrupted_fit_exits_130(tmp_path, capsys, monkeypatch):
+    # Ctrl-C reaches the command as KeyboardInterrupt, which click turns
+    # into Abort, a RuntimeError with no message: not a runtime failure
+    sim = tmp_path / "sim"
+    assert simulate_small(sim, replicates=1) == 0
+
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "grid_search", interrupted)
+    capsys.readouterr()
+    assert fit_small(sim / "counts_r000.csv", tmp_path / "fit") == 130
+    err = capsys.readouterr().err
+    assert "interrupted" in err
+    assert "failure:" not in err
 
 
 def test_fit_whose_worker_process_dies_exits_two_without_hanging(tmp_path, capsys, monkeypatch):

@@ -20,7 +20,7 @@ from mplnfa.em import FitConfig, bic, fit_single, grid_search, icl, initialize
 from mplnfa.evaluate import ari
 from mplnfa.io import NormalizationFactors
 
-from conftest import make_counts, unit_factors
+from conftest import loop_s, make_counts, unit_factors
 from oracles import dense_s, sigma_bound_part
 
 
@@ -164,8 +164,8 @@ def test_start_log_det_s_is_the_dense_log_det(rng, d):
     y = rng.poisson(5.0, (n, d)).astype(np.float64)
     labels = np.arange(n) % g
     *_, s, caches, _ = em._start(y, np.zeros(n), np.log1p(y), labels, g, 1,
-                                 ModelId.from_string("UUU"))
-    np.testing.assert_allclose(caches["logdet_s"], np.linalg.slogdet(dense_s(*s))[1],
+                                 ModelId.from_string("UUU"), em._count_constant(y).sum(1))
+    np.testing.assert_allclose(caches["logdet_s"], np.linalg.slogdet(dense_s(s))[1],
                                rtol=1e-12, atol=0)
 
 
@@ -178,12 +178,12 @@ def test_sigma_guard_bound_is_the_summed_pair_terms(rng):
     n_g = zhat.sum(axis=0)
     m = rng.normal(1.0, 0.5, (n, g, d))
     mu = rng.normal(1.0, 0.5, (g, d))
-    s = (rng.uniform(0.05, 0.3, (n, g, d)), rng.normal(0.0, 0.2, (n, g, d, k)))
+    s = loop_s(rng.uniform(0.05, 0.3, (n, g, d)), rng.normal(0.0, 0.2, (n, g, d, k)))
     lam, psi = rng.uniform(-1.0, 1.0, (g, d, k)), rng.uniform(0.3, 1.0, (g, d))
     sigma = em._sigma_from(lam, psi)
 
     mean_s = em._s_means(zhat, n_g, s)
-    ref = np.einsum("ng,ngde->gde", zhat, dense_s(*s)) / n_g[:, None, None]
+    ref = np.einsum("ng,ngde->gde", zhat, dense_s(s)) / n_g[:, None, None]
     assert np.abs(mean_s - ref).max() <= 1e-14 * np.abs(ref).max()
 
     pairs = -0.5 * (stage1._quad_batch(m, mu, sigma) + stage1._trace_batch(sigma, s))
@@ -261,7 +261,7 @@ def test_sigma_step_never_lowers_the_total_bound_on_random_draws(model, seed):
     zhat = rng.dirichlet(np.ones(g), n)
     n_g = zhat.sum(axis=0)
     m = rng.normal(1.0, 0.7, (n, g, d))
-    s = (rng.uniform(0.05, 0.5, (n, g, d)), rng.normal(0.0, 0.3, (n, g, d, k)))
+    s = loop_s(rng.uniform(0.05, 0.5, (n, g, d)), rng.normal(0.0, 0.3, (n, g, d, k)))
     a_bar = stage2.make_stage2_stats(zhat, m, m.mean(axis=0)) + em._s_means(zhat, n_g, s)
     lam = rng.uniform(-1.0, 1.0, (g, d, k))
     if model.lambda_constrained:
@@ -455,10 +455,10 @@ def test_grid_search_records_failures_and_skips_them(rng, monkeypatch):
     data, factors, _ = _grid_data(rng)
     real_run = em._run_em
 
-    def flaky(y, logc, x, labels, g, k, model_id, config):
+    def flaky(y, logc, x, labels, g, k, model_id, config, pois_const):
         if g == 2:
             raise NumericalError("synthetic failure")
-        return real_run(y, logc, x, labels, g, k, model_id, config)
+        return real_run(y, logc, x, labels, g, k, model_id, config, pois_const)
 
     monkeypatch.setattr(em, "_run_em", flaky)
     cfg = _quick_config(g_range=(1, 2), k_range=(1, 1),
@@ -564,6 +564,24 @@ def test_count_constant_matches_high_precision_values():
     np.testing.assert_allclose(got[0], list(_COUNT_CONSTANTS.values()), rtol=0, atol=1e-9)
 
 
+def test_grid_search_computes_the_per_count_constant_once(rng, monkeypatch):
+    # the constant depends on the counts alone, so the triples share it
+    data, factors, _ = _grid_data(rng)
+    real_constant = em._count_constant
+    calls = []
+
+    def counting(y):
+        calls.append(y.shape)
+        return real_constant(y)
+
+    monkeypatch.setattr(em, "_count_constant", counting)
+    cfg = _quick_config(g_range=(1, 2), k_range=(1, 2), max_outer=3,
+                        models=(ModelId.from_string("UUU"), ModelId.from_string("CCC")))
+    grid = grid_search(data, factors, cfg, threads=1)
+    assert len(grid.entries) == 8
+    assert calls == [(data.n, data.d)]
+
+
 def _degenerate_counts(kind, seed):
     """Counts that strain the fitter: identical rows, a zero column, huge
     counts, many more variables than samples, or two to three samples."""
@@ -652,8 +670,8 @@ def test_grid_search_breaks_ties_by_grid_position_not_completion(rng, monkeypatc
     real_run = em._run_em
     log = tmp_path / "finished.txt"
 
-    def slow_tie(y, logc, x, labels, g, k, model_id, config):
-        fit = real_run(y, logc, x, labels, g, k, model_id, config)
+    def slow_tie(y, logc, x, labels, g, k, model_id, config, pois_const):
+        fit = real_run(y, logc, x, labels, g, k, model_id, config, pois_const)
         time.sleep(0.05 * (len(triples) - triples.index((g, k, model_id))))
         with open(log, "a", encoding="utf-8") as fh:
             fh.write(f"{triples.index((g, k, model_id))} {os.getpid()}\n")

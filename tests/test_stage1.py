@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mplnfa.core import EmptyComponentError, InputError
+from mplnfa.core import EmptyComponentError, InputError, NumericalError
 from mplnfa.stage1 import (
     elbo_stage1,
     elbo_stage1_grad_m,
@@ -15,6 +15,7 @@ from mplnfa.stage1 import (
 import mplnfa.stage1 as stage1
 import mplnfa.em as em
 
+from conftest import loop_s
 from oracles import dense_s, factor_form, fd_grad, random_loadings_psi, random_spd
 
 
@@ -308,8 +309,8 @@ def test_batched_bound_matches_scalar_loop(rng):
     psi, lam = factor_form(sig)
     sigma = em._sigma_from(lam, psi)
     yf = y.astype(np.float64)
-    caches = em._make_caches(yf, logc, np.log1p(yf) - logc[:, None], m, factor_form(s), mu, sigma,
-                             np.linalg.slogdet(s)[1])
+    caches = em._make_caches(yf, logc, np.log1p(yf) - logc[:, None], m, loop_s(*factor_form(s)),
+                             mu, sigma, np.linalg.slogdet(s)[1], em._count_constant(yf).sum(1))
     assert caches["clamps"] == 2
     f = em._assemble_f(caches, sigma[3], d)
     for i in range(n):
@@ -351,29 +352,30 @@ def test_guarded_batch_updates_match_public_functions(rng):
     y = rng.poisson(4.0, (n, d)).astype(np.float64)
     logc = np.zeros(n)
     m = np.log1p(y)[:, None, :].repeat(g, axis=1)
-    s = (np.full((n, g, d), 0.1), np.zeros((n, g, d, 2)))
+    s = loop_s(np.full((n, g, d), 0.1), np.zeros((n, g, d, 2)))
     mu = rng.normal(1.0, 0.3, (g, d))
     lam = rng.normal(0.0, 0.5, (g, d, 2))
     psi = rng.uniform(0.2, 1.0, (g, d))
     sig = lam @ lam.transpose(0, 2, 1) + psi[:, :, None] * np.eye(d)
     sigma = em._sigma_from(lam, psi)
     obs = (y, logc, np.log1p(y) - logc[:, None])
-    caches = em._make_caches(*obs, m, s, mu, sigma, np.linalg.slogdet(dense_s(*s))[1])
+    caches = em._make_caches(*obs, m, s, mu, sigma, np.linalg.slogdet(dense_s(s))[1],
+                             em._count_constant(y).sum(1))
 
     s_new, trs, logdet_s, rate, pois, _, _ = stage1._update_s_guarded(
         sigma, obs, m, s, caches["trs"], caches["logdet_s"], caches["pois"], caches["rate"],
     )
     for i in range(n):
         for j in range(g):
-            ref = update_s(sig[j], np.exp(logc[i]), m[i, j], dense_s(*s)[i, j])
-            np.testing.assert_allclose(dense_s(*s_new)[i, j], ref, atol=1e-12)
+            ref = update_s(sig[j], np.exp(logc[i]), m[i, j], dense_s(s)[i, j])
+            np.testing.assert_allclose(dense_s(s_new)[i, j], ref, atol=1e-12)
 
     m_new, *_ = stage1._update_m_guarded(
         obs, sigma, mu, m, s_new, rate, pois, stage1._quad_batch(m, mu, sigma),
     )
     for i in range(n):
         for j in range(g):
-            ref = update_m(y[i], np.exp(logc[i]), sig[j], mu[j], m[i, j], dense_s(*s_new)[i, j])
+            ref = update_m(y[i], np.exp(logc[i]), sig[j], mu[j], m[i, j], dense_s(s_new)[i, j])
             np.testing.assert_allclose(m_new[i, j], ref, atol=1e-10)
 
     # Means far below log(y + 1) with larger counts: the full step
@@ -381,14 +383,14 @@ def test_guarded_batch_updates_match_public_functions(rng):
     y = 10.0 * y
     obs = (y, logc, np.log1p(y) - logc[:, None])
     m = np.log1p(y)[:, None, :].repeat(g, axis=1) - 3.0
-    rate, pois, _ = stage1._poisson_batch(obs, m, np.diagonal(dense_s(*s_new), axis1=-2, axis2=-1))
+    rate, pois, _ = stage1._poisson_batch(obs, m, np.diagonal(dense_s(s_new), axis1=-2, axis2=-1))
     m_new, *_, n_guarded = stage1._update_m_guarded(
         obs, sigma, mu, m, s_new, rate, pois, stage1._quad_batch(m, mu, sigma),
     )
     assert n_guarded > 0
     for i in range(n):
         for j in range(g):
-            ref = update_m(y[i], np.exp(logc[i]), sig[j], mu[j], m[i, j], dense_s(*s_new)[i, j])
+            ref = update_m(y[i], np.exp(logc[i]), sig[j], mu[j], m[i, j], dense_s(s_new)[i, j])
             np.testing.assert_allclose(m_new[i, j], ref, atol=1e-10)
 
 
@@ -421,7 +423,7 @@ def test_s_step_halving_matches_dense_loop():
     y, logc = np.zeros((n, d)), np.zeros(n)
     obs = (y, logc, np.log1p(y) - logc[:, None])
     m = -3.0 + rng.uniform(-0.5, 0.5, (n, g, d))
-    s = (np.full((n, g, d), 0.01), np.zeros((n, g, d, k)))
+    s = loop_s(np.full((n, g, d), 0.01), np.zeros((n, g, d, k)))
     zeros = np.zeros((n, g))
     rate0 = stage1._poisson_batch(obs, m, s[0])[0]
 
@@ -441,13 +443,16 @@ def test_s_step_halving_matches_dense_loop():
         sigma, obs, m, s, zeros, 2.0 * floor, zeros, rate0,
     )
     assert n_guarded == 3
+    # the carried diag S is the kernel's diag of the returned S, bit for
+    # bit, at the full step, at the halvings and at the reverted pair
+    np.testing.assert_array_equal(s_new[2], stage1._s_diag(s_new))
     idx = np.arange(d)
     for i in range(n):
         for j in range(g):
             passed = np.nonzero(phis[i, j] >= floor[i, j])[0]
             if len(passed):
                 ref = cands[i, j, passed[0]]
-                np.testing.assert_allclose(dense_s(*s_new)[i, j], ref, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(dense_s(s_new)[i, j], ref, rtol=0, atol=1e-12)
                 assert logdet_s[i, j] == pytest.approx(np.linalg.slogdet(ref)[1], rel=1e-12)
                 assert trs[i, j] == pytest.approx(np.trace(sig_inv[j] @ ref), rel=1e-12)
                 ref_rate = np.exp(logc[i] + m[i, j] + 0.5 * ref[idx, idx])
@@ -477,8 +482,8 @@ def test_m_step_halving_matches_dense_loop():
     logc = np.zeros(n)
     m = np.log1p(y)[:, None, :] - 3.0 + rng.uniform(-0.2, 0.2, (n, g, d))
     mu = m.mean(axis=0)
-    s = (np.full((n, g, d), 0.5), rng.normal(0.0, 0.2, (n, g, d, k)))
-    s_dense = dense_s(*s)
+    s = loop_s(np.full((n, g, d), 0.5), rng.normal(0.0, 0.2, (n, g, d, k)))
+    s_dense = dense_s(s)
     idx = np.arange(d)
     obs = (y, logc, np.log1p(y) - logc[:, None])
     rate0 = stage1._poisson_batch(obs, m, s_dense[..., idx, idx])[0]
@@ -508,10 +513,16 @@ def test_m_step_halving_matches_dense_loop():
         floor[i, j] = 0.5 * (phis[i, j, b] + phis[i, j, :b].max())
     floor[1, 0] = phis[1, 0].max() + 1.0  # nothing passes
     # phi_old = Poisson term - quad/2, so these caches make it the floor
+    s_before = tuple(a.copy() for a in s)
     m_new, rate, pois, quad, _, n_guarded = stage1._update_m_guarded(
         obs, sigma, mu, m, s, rate0, floor, zeros,
     )
     assert n_guarded == 3
+    # the m step leaves S and its carried diag as they were, the kernel's
+    # diag of S bit for bit
+    for after, before in zip(s, s_before):
+        np.testing.assert_array_equal(after, before)
+    np.testing.assert_array_equal(s[2], stage1._s_diag(s))
     for i in range(n):
         for j in range(g):
             passed = np.nonzero(phis[i, j] >= floor[i, j])[0]
@@ -541,7 +552,7 @@ def test_s_step_counts_only_the_clamps_at_its_new_s():
     y, logc = np.zeros((n, d)), np.full(n, 690.0)
     obs = (y, logc, np.log1p(y) - logc[:, None])
     m = np.full((n, g, d), 9.0)
-    s = (np.full((n, g, d), 4.0), np.zeros((n, g, d, k)))
+    s = loop_s(np.full((n, g, d), 4.0), np.zeros((n, g, d, k)))
     assert stage1._poisson_batch(obs, m, s[0])[2] == n * g * d
     rate0 = stage1._poisson_batch(obs, m, s[0])[0]
     zeros = np.zeros((n, g))
@@ -549,7 +560,7 @@ def test_s_step_counts_only_the_clamps_at_its_new_s():
         sigma, obs, m, s, zeros, np.full((n, g), -np.inf), zeros, rate0,
     )
     assert n_guarded == 0
-    arg = logc[:, None, None] + m + 0.5 * np.diagonal(dense_s(*s_new), axis1=-2, axis2=-1)
+    arg = logc[:, None, None] + m + 0.5 * np.diagonal(dense_s(s_new), axis1=-2, axis2=-1)
     assert np.all(np.abs(arg) < stage1.EXP_CLAMP)
     assert clamps == 0
 
@@ -581,7 +592,7 @@ def test_factor_form_s_step_matches_dense_inverse(seed, k):
     obs = (y, logc, np.log1p(y) - logc[:, None])
     # rates exp(m + S_jj / 2) spread over [e^-4, e^8]
     m = rng.uniform(-4.0, 8.0 - 0.05, (n, g, d))
-    s = (np.full((n, g, d), 0.1), np.zeros((n, g, d, k)))
+    s = loop_s(np.full((n, g, d), 0.1), np.zeros((n, g, d, k)))
     # previous bound terms of -inf, so the ascent guard keeps every entry
     worst = np.full((n, g), -np.inf)
     s_new, _, logdet_s, _, _, _, n_guarded = stage1._update_s_guarded(
@@ -593,10 +604,19 @@ def test_factor_form_s_step_matches_dense_inverse(seed, k):
     for i in range(n):
         for j in range(g):
             a = np.linalg.inv(sig[j]) + np.diag(rate[i, j])
-            assert _rel_err(dense_s(*s_new)[i, j], np.linalg.inv(a)) < 1e-10
+            assert _rel_err(dense_s(s_new)[i, j], np.linalg.inv(a)) < 1e-10
             sign, ref = np.linalg.slogdet(a)
             assert sign > 0
             assert logdet_s[i, j] == pytest.approx(-ref, rel=1e-10)
+
+
+@pytest.mark.parametrize("rho", [np.nan, -0.5])
+def test_s_of_fails_at_a_pivot_that_is_not_positive(rho):
+    # M = I + lam' diag(rho h) lam is SPD for positive rates; a NaN rate,
+    # or one that makes M = -3 I here, fails the refresh numerically
+    sigma = em._sigma_from(2.0 * np.eye(2)[None], np.ones((1, 2)))
+    with pytest.raises(NumericalError, match="covariance refresh failed"):
+        stage1._s_of(np.full((1, 1, 2), rho), sigma)
 
 
 @pytest.mark.parametrize("k", [1, 3, 6])
@@ -620,14 +640,15 @@ def test_factor_form_regression_matches_dense_solve(seed, k):
 def test_factor_form_kernels_match_dense_solves(seed, k):
     # Every S- and sigma-dependent kernel of the fitting loop, on random
     # factor forms S = diag(s_d) + s_w s_w' and psi down to 1e-4, against
-    # dense solves, products and log-determinants.  log|S| is checked
-    # where the loop computes it, at S(rho) = (sigma^-1 + diag rho)^-1.
+    # dense solves, products and log-determinants.  log|S| and the
+    # closed-form tr(sigma^-1 S) are checked where the loop computes them,
+    # at S(rho) = (sigma^-1 + diag rho)^-1 and at a guard's S(rho / eta).
     rng = np.random.default_rng(100 + seed)
     n, g, d = 3, 2, 8
     lam, psi, sig = _factor_instance(rng, g, d, k)
     sigma = em._sigma_from(lam, psi)
-    s = (rng.uniform(0.01, 1.0, (n, g, d)), rng.normal(0.0, 0.5, (n, g, d, k)))
-    s_dense = dense_s(*s)
+    s = loop_s(rng.uniform(0.01, 1.0, (n, g, d)), rng.normal(0.0, 0.5, (n, g, d, k)))
+    s_dense = dense_s(s)
     m = rng.normal(1.0, 1.0, (n, g, d))
     mu = rng.normal(1.0, 1.0, (g, d))
     x = rng.normal(0.0, 1.0, (n, g, d))
@@ -638,6 +659,10 @@ def test_factor_form_kernels_match_dense_solves(seed, k):
     s_x = stage1._s_apply(s, x)
     s_diag = stage1._s_diag(s)
     s_rho, logdet_rho = stage1._s_of(rho, sigma)
+    tr_rho = stage1._s_trace(rho, s_rho[2])
+    eta = 0.25
+    s_eta = stage1._s_of(rho / eta, sigma)[0]
+    tr_eta = stage1._s_trace(rho / eta, s_eta[2])
     for i in range(n):
         for j in range(g):
             v = m[i, j] - mu[j]
@@ -648,7 +673,10 @@ def test_factor_form_kernels_match_dense_solves(seed, k):
             assert _rel_err(s_x[i, j], s_dense[i, j] @ x[i, j]) < 1e-10
             np.testing.assert_allclose(s_diag[i, j], np.diag(s_dense[i, j]), rtol=1e-10, atol=0)
             a = np.linalg.inv(sig[j]) + np.diag(rho[i, j])
-            assert _rel_err(dense_s(*s_rho)[i, j], np.linalg.inv(a)) < 1e-10
+            assert _rel_err(dense_s(s_rho)[i, j], np.linalg.inv(a)) < 1e-10
             sign, ref = np.linalg.slogdet(a)
             assert sign > 0
             assert logdet_rho[i, j] == pytest.approx(-ref, rel=1e-10)
+            for tr, s_at in ((tr_rho, s_rho), (tr_eta, s_eta)):
+                assert tr[i, j] == pytest.approx(
+                    np.trace(np.linalg.solve(sig[j], dense_s(s_at)[i, j])), rel=1e-10)

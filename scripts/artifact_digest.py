@@ -4,11 +4,14 @@
 The commands are the criterion-10 `simulate` and `fit` pair (the fit at
 --threads 1 and 2), `evaluate` of the --threads 1 fit against the
 simulated truth, a setting1 n=300 fit over G 1-3, K 1-2 and all
-eight patterns, and a setting3 n=800 fit over G 2-3, K 3-4, UUU and
+eight patterns, a setting3 n=800 fit over G 2-3, K 3-4, UUU and
 CCC, shaped like the grid-select benchmark, so that the per-pair
-guards are also covered on a larger grid.  They run in a temporary
-directory with relative paths, so the input path that `report.json`
-records is the same on every run.
+guards are also covered on a larger grid, and a fit over G 1-2, K 1,
+UUU of a small fixed counts table (`QUOTED_INPUT`, written by
+`write_quoted_counts`) whose sample and variable ids hold commas,
+quotes, CR and LF, so that the CSV writers' quoting is covered.  They
+run in a temporary directory with relative paths, so the input path
+that `report.json` records is the same on every run.
 The echoed `threads` is dropped from `report.json` before hashing; the
 rest of every artifact is hashed as written.
 
@@ -35,6 +38,7 @@ naming each line that does not agree:
 """
 
 import argparse
+import csv
 import hashlib
 import json
 import os
@@ -44,6 +48,9 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+# The fixed counts table of `write_quoted_counts`, written before the commands run.
+QUOTED_INPUT = "quoted.csv"
 
 # Command lines, run in order; every file they write is digested.  The
 # --threads 1 fit sits in fits/<replicate>/, the layout `evaluate` reads.
@@ -65,10 +72,26 @@ COMMANDS = (
     ["fit", "--input", "setting3/counts_r000.csv", "--gmin", "2", "--gmax", "3",
      "--kmin", "3", "--kmax", "4", "--models", "UUU,CCC", "--threads", "2",
      "--out-dir", "fit_setting3"],
+    ["fit", "--input", QUOTED_INPUT, "--gmin", "1", "--gmax", "2", "--kmin", "1",
+     "--kmax", "1", "--models", "UUU", "--seed", "0", "--threads", "1",
+     "--out-dir", "fit_quoted"],
 )
 
 # Counters of the selected fit's `diagnostics` that `--values` prints.
 COUNTERS = ("exp_clamped", "s_guard_backtracks", "m_guard_backtracks")
+
+
+def write_quoted_counts(path):
+    """Write a fixed 40 x 3 counts table in two groups whose every sample
+    and variable id holds a comma, a quote, CR or LF."""
+    marks = (",", '"', "\r", "\n")
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["sample,id", 'gene,"a"', "gene\rb", "gene\nc"])
+        for i in range(40):
+            high = i % 2
+            writer.writerow([f"cell{marks[i % 4]}{i}",
+                             *(4 + 20 * high + (i * (j + 3)) % 7 for j in range(3))])
 
 
 def _digest(path):
@@ -119,6 +142,7 @@ def main(argv=None):
         parser.error("--against compares --values listings")
     env = dict(os.environ, PYTHONPATH=str(Path(args.src).resolve()))
     with tempfile.TemporaryDirectory() as tmp:
+        write_quoted_counts(Path(tmp) / QUOTED_INPUT)
         for command in COMMANDS:
             subprocess.run([sys.executable, "-m", "mplnfa", *command],
                            cwd=tmp, env=env, check=True, stdout=subprocess.DEVNULL)

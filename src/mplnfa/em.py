@@ -369,10 +369,10 @@ def _sigma_from(lam, psi):
     that the batched kernels take (see `stage1`).
 
     beta = lam' sigma^-1 and log|sigma| = sum log psi + log|I + lam' psi^-1 lam|
-    come from the K x K core of `stage2._factor_core`, so sigma^-1 x is
+    come from the K x K core of `stage2._regression`, so sigma^-1 x is
     psi^-1 (x - lam beta x) and no d x d matrix is formed.
     """
-    beta, core = stage2._factor_core(lam, psi)
+    beta, core = stage2._regression(lam, psi)
     return lam, psi, beta, np.log(psi).sum(-1) + np.linalg.slogdet(core)[1]
 
 

@@ -35,6 +35,7 @@ __all__ = [
 ]
 
 NORMALIZE_MODES = ("none", "libsize", "file")
+INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def _read_rows(path):
@@ -43,7 +44,11 @@ def _read_rows(path):
         raise InputError(f"file not found: {path}")
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
+            reader = csv.reader(fh)
+            try:
+                rows = list(reader)
+            except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+                raise InputError(f"{path}, line {reader.line_num}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise InputError(f"{path} is not valid UTF-8: {exc}") from None
     if not rows:
@@ -73,32 +78,12 @@ def read_counts(path, normalize="none", factors_path=None):
             f"{path}: header must name a sample-id column and at least one count column"
         )
     var_ids = tuple(h.strip() for h in header[1:])
-    sample_ids = []
-    values = []
-    for r, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise InputError(
-                f"{path}, line {r}: expected {len(header)} fields, found {len(row)}"
-            )
-        sample_ids.append(row[0].strip())
-        parsed = []
-        for j, tok in enumerate(row[1:]):
-            try:
-                v = int(tok.strip())
-            except ValueError:
-                raise InputError(
-                    f"{path}, line {r}, column {var_ids[j]!r}: {tok!r} is not an integer"
-                ) from None
-            if v < 0:
-                raise InputError(
-                    f"{path}, line {r}, column {var_ids[j]!r}: counts must be nonnegative"
-                )
-            parsed.append(v)
-        values.append(parsed)
-    if not values:
+    body = rows[1:]
+    if not body:
         raise InputError(f"{path}: no data rows")
     data = CountMatrix(
-        values=np.asarray(values, dtype=np.int64), sample_ids=tuple(sample_ids), var_ids=var_ids
+        values=_parse_counts(path, body, var_ids),
+        sample_ids=tuple(row[0].strip() for row in body), var_ids=var_ids,
     )
 
     normalize = str(normalize).strip().lower()
@@ -121,6 +106,55 @@ def read_counts(path, normalize="none", factors_path=None):
             raise InputError("normalization mode 'file' requires a factors file")
         factors = read_factors_file(factors_path, data.sample_ids)
     return data, factors
+
+
+def _parse_counts(path, body, var_ids):
+    """The (n, d) int64 counts of the data rows `body`, one `int` map per
+    row.  Any fault sends the whole body to `_parse_cells`, which raises
+    the first one in row order."""
+    width = len(var_ids) + 1
+    if all(len(row) == width for row in body):
+        values = np.empty((len(body), width - 1), dtype=np.int64)
+        try:
+            for i, row in enumerate(body):
+                values[i] = list(map(int, row[1:]))
+        except (ValueError, OverflowError):
+            pass
+        else:
+            if values.min() >= 0:
+                return values
+    return _parse_cells(path, body, var_ids)
+
+
+def _parse_cells(path, body, var_ids):
+    """`_parse_counts` cell by cell: raises an InputError naming the line
+    and column of the first fault, or returns the counts where only
+    `int(token.strip())` accepts a token (`str.strip` strips more than `int`)."""
+    width = len(var_ids) + 1
+    values = []
+    for r, row in enumerate(body, start=2):
+        if len(row) != width:
+            raise InputError(f"{path}, line {r}: expected {width} fields, found {len(row)}")
+        parsed = []
+        for j, tok in enumerate(row[1:]):
+            try:
+                v = int(tok.strip())
+            except ValueError:
+                raise InputError(
+                    f"{path}, line {r}, column {var_ids[j]!r}: {tok!r} is not an integer"
+                ) from None
+            if v < 0:
+                raise InputError(
+                    f"{path}, line {r}, column {var_ids[j]!r}: counts must be nonnegative"
+                )
+            if v > INT64_MAX:
+                raise InputError(
+                    f"{path}, line {r}, column {var_ids[j]!r}: {tok!r} exceeds the largest "
+                    f"count, {INT64_MAX}"
+                )
+            parsed.append(v)
+        values.append(parsed)
+    return np.asarray(values, dtype=np.int64)
 
 
 def read_factors_file(path, sample_ids):
@@ -154,18 +188,42 @@ def read_factors_file(path, sample_ids):
     return NormalizationFactors(np.array([table[s] for s in sample_ids]))
 
 
-def _write_rows(path, header, rows):
-    """Write a UTF-8 CSV: the header row, then `rows`."""
+# The CSV writers emit csv.writer's default dialect: fields joined by
+# commas, each row ended by CRLF, and a field that holds a comma, a quote,
+# CR or LF quoted, with its quotes doubled.  Each row is joined as one string.
+_QUOTE_TRIGGERS = frozenset(',"\r\n')
+
+
+def _field(text):
+    """One text field as the default dialect writes it."""
+    if _QUOTE_TRIGGERS.isdisjoint(text):
+        return text
+    return '"' + text.replace('"', '""') + '"'
+
+
+def _floats(values):
+    """The `.10g` text of every entry of a float array, as an object array
+    of its shape; each distinct bit pattern is formatted once, so -0.0
+    still reads -0."""
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    bits, where = np.unique(values.reshape(-1).view(np.int64), return_inverse=True)
+    text = np.array([f"{v:.10g}" for v in bits.view(np.float64).tolist()], dtype=object)
+    return text[where.reshape(-1)].reshape(values.shape)
+
+
+def _write_lines(path, header, lines):
+    """Write a UTF-8 CSV: the header fields, then `lines`, an iterable of
+    finished rows (fields joined, CRLF ended), written one at a time."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(map(_field, header)) + "\r\n")
+        fh.writelines(lines)
 
 
 def write_counts(path, data):
     """Write a CountMatrix in the format `read_counts` accepts."""
-    _write_rows(path, ["sample_id", *data.var_ids],
-                ([sid, *map(int, data.values[i])] for i, sid in enumerate(data.sample_ids)))
+    _write_lines(path, ["sample_id", *data.var_ids],
+                 (f"{sid},{','.join(map(str, row))}\r\n"
+                  for sid, row in zip(map(_field, data.sample_ids), data.values.tolist())))
 
 
 def sha256_file(path):
@@ -321,31 +379,34 @@ def _read_truth(path):
 def write_assignments(path, data, fit):
     """sample_id, hard cluster, and its posterior probability."""
     labels = fit.assignments
-    post = fit.state.zhat[np.arange(labels.shape[0]), labels]
-    _write_rows(path, ["sample_id", "cluster", "posterior"],
-                ([sid, g, f"{v:.10g}"]
-                 for sid, g, v in zip(data.sample_ids, labels.tolist(), post.tolist())))
+    post = _floats(fit.state.zhat[np.arange(labels.shape[0]), labels])
+    _write_lines(path, ["sample_id", "cluster", "posterior"],
+                 (f"{sid},{g},{v}\r\n"
+                  for sid, g, v in zip(map(_field, data.sample_ids), labels.tolist(), post)))
 
 
 def write_posteriors(path, data, fit):
     """Full responsibility matrix, one row per sample."""
-    zhat = fit.state.zhat
-    _write_rows(path, ["sample_id", *(f"g{j}" for j in range(zhat.shape[1]))],
-                ([sid, *[f"{v:.10g}" for v in row]]
-                 for sid, row in zip(data.sample_ids, zhat.tolist())))
+    zhat = _floats(fit.state.zhat)
+    _write_lines(path, ["sample_id", *(f"g{j}" for j in range(zhat.shape[1]))],
+                 (f"{sid},{','.join(row)}\r\n"
+                  for sid, row in zip(map(_field, data.sample_ids), zhat.tolist())))
 
 
 def write_traces(path, entries):
     """Long-format objective traces for every grid triple."""
-    _write_rows(path, ["g", "k", "model", "iteration", "elbo"],
-                ([e.g, e.k, str(e.model_id), t, f"{val:.10g}"]
-                 for e in entries for t, val in enumerate(e.elbo_trace)))
+    _write_lines(path, ["g", "k", "model", "iteration", "elbo"],
+                 (f"{e.g},{e.k},{_field(str(e.model_id))},{t},{v}\r\n"
+                  for e in entries for t, v in enumerate(_floats(e.elbo_trace).tolist())))
 
 
 def write_plot_data(path, data, factors, fit):
     """Long-format exposure-adjusted log counts with cluster labels."""
     x = np.log1p(data.values.astype(np.float64)) - np.log(factors.c)[:, None]
-    _write_rows(path, ["sample_id", "cluster", "variable", "value"],
-                ([sid, g, vid, f"{v:.10g}"]
-                 for sid, g, row in zip(data.sample_ids, fit.assignments.tolist(), x.tolist())
-                 for vid, v in zip(data.var_ids, row)))
+    var_ids = [_field(v) for v in data.var_ids]
+    prefixes = (f"{sid},{g},"
+                for sid, g in zip(map(_field, data.sample_ids), fit.assignments.tolist()))
+    _write_lines(path, ["sample_id", "cluster", "variable", "value"],
+                 (f"{prefix}{vid},{v}\r\n"
+                  for prefix, row in zip(prefixes, _floats(x))
+                  for vid, v in zip(var_ids, row.tolist())))

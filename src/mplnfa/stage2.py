@@ -129,14 +129,33 @@ def make_stage2_stats(zhat, m, mu):
 def _factor_core(lam, psi):
     """The K x K core of sigma_g = lam_g lam_g' + diag(psi_g), batched.
 
-    Returns beta = core^-1 lam' psi^-1 (G, K, d), which equals
-    lam' sigma^-1, and core = I + lam' psi^-1 lam (G, K, K), whose
-    eigenvalues are at least 1.  Every inverse and log-determinant of
-    sigma in the fitting loop is built from these, so no d x d matrix
-    is factorized.
+    Returns lam' psi^-1 (G, K, d) and core = I + lam' psi^-1 lam
+    (G, K, K), whose eigenvalues are at least 1.  Every inverse and
+    log-determinant of sigma in the fitting loop is built from these, so
+    no d x d matrix is factorized.
     """
     lam_psi = lam.transpose(0, 2, 1) / psi[:, None, :]
-    core = np.eye(lam.shape[2])[None] + lam_psi @ lam
+    return lam_psi, np.eye(lam.shape[2])[None] + lam_psi @ lam
+
+
+def _core_inverse(core):
+    """core^-1 (G, K, K) from one batched inverse."""
+    try:
+        return np.linalg.inv(core)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"loading regression solve failed: {exc}") from None
+
+
+def _regression(lam, psi):
+    """beta = core^-1 lam' psi^-1 (G, K, d), which equals lam' sigma^-1,
+    and the core of `_factor_core`.
+
+    beta comes from a solve against the core, not from core^-1: the
+    stage-1 kernels subtract psi^-1 lam beta from psi^-1, and with psi
+    near 1e-4 the product of an explicit inverse moved their
+    tr(sigma^-1 S) by 3e-10 relative, against 4e-13 for the solve.
+    """
+    lam_psi, core = _factor_core(lam, psi)
     try:
         return np.linalg.solve(core, lam_psi), core
     except np.linalg.LinAlgError as exc:
@@ -145,7 +164,7 @@ def _factor_core(lam, psi):
 
 def _q_from(lam, psi):
     """Factor-score posterior covariances core^-1, batched (G, K, K)."""
-    q = np.linalg.inv(_factor_core(lam, psi)[1])
+    q = _core_inverse(_factor_core(lam, psi)[1])
     return 0.5 * (q + q.transpose(0, 2, 1))
 
 
@@ -163,16 +182,16 @@ def _psi_pattern(model_id, bvec, n_g):
     return psi
 
 
-def _sweep(model_id, w, ws_diag, n_g, eye, lam, psi, objective=True):
+def _sweep(model_id, w, ws_diag, n_g, lam, psi, objective=True):
     """One application of the inner fixed-point map.
 
     Re-fits the factor regression beta and the factor second moments
     theta at (lam, psi), then the loadings, then the error variances,
     each exactly, so the inner objective never decreases.  ws_diag is
-    diag(W_g) + S-bar_g (G, d) and eye the K x K identity, both fixed
-    over a loop.  Returns (lam_new, psi_new, objective at the input
-    (lam, psi), floor clamps); the objective is None, and its
-    log-determinant and residual pass are skipped, if `objective` is false.
+    diag(W_g) + S-bar_g (G, d), fixed over a loop.  Returns (lam_new,
+    psi_new, objective at the input (lam, psi), floor clamps); the
+    objective is None, and its log-determinant and residual pass are
+    skipped, if `objective` is false.
 
     The objective is the responsibility-weighted factorized bound with
     the factor posterior at its optimum, plus the constant (K/2) sum n_g;
@@ -184,9 +203,12 @@ def _sweep(model_id, w, ws_diag, n_g, eye, lam, psi, objective=True):
                         + sum_j (W_gjj + S-bar_gj - sum_k (W_g beta_g')_jk lam_gjk) / psi_gj]
     """
     g, d, k = lam.shape
-    beta, core = _factor_core(lam, psi)
+    lam_psi, core = _factor_core(lam, psi)
+    core_inv = _core_inverse(core)
+    beta = core_inv @ lam_psi  # lam_g' sigma_g^-1, (G, K, d)
     wb = w @ beta.transpose(0, 2, 1)  # W_g beta_g', (G, d, K)
-    theta = eye - beta @ lam + beta @ wb
+    # I - beta lam = core^-1, since beta lam = core^-1 (core - I)
+    theta = core_inv + beta @ wb
     theta = 0.5 * (theta + theta.transpose(0, 2, 1))
     obj = None
     if objective:
@@ -204,7 +226,7 @@ def _sweep(model_id, w, ws_diag, n_g, eye, lam, psi, objective=True):
         lam_new = np.broadcast_to(rows, (g, d, k)).copy()
     else:
         try:
-            lam_new = np.linalg.solve(theta, wb.transpose(0, 2, 1)).transpose(0, 2, 1)
+            lam_new = wb @ np.linalg.inv(theta)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"loading solve failed: {exc}") from None
 
@@ -218,7 +240,9 @@ def _sweep(model_id, w, ws_diag, n_g, eye, lam, psi, objective=True):
         bvec = ws_diag - 2.0 * cross + quad
     else:
         bvec = ws_diag - cross
-    psi_new = _psi_pattern(model_id, bvec, n_g)
+    psi_new = bvec  # an unconstrained pattern leaves the raw estimates as they are
+    if model_id.psi_constrained or model_id.psi_isotropic:
+        psi_new = _psi_pattern(model_id, bvec, n_g)
     psi_min = psi_new.min()
     if psi_min <= PSI_DEGENERATE:
         raise NumericalError(f"degenerate error variance (min {psi_min:.3g}) in inner loop")
@@ -282,7 +306,6 @@ def run_inner_loop(model_id, w, n_g, s_bar, lam, psi, max_inner=MAX_INNER, tol=I
     if s_bar.shape != (g, d):
         raise InputError("s_bar must be (G, d)")
     ws_diag = w[:, np.arange(d), np.arange(d)] + s_bar  # diag(W_g) + S-bar_g
-    eye = np.eye(k)
     n_lam = g * d * k
     parts = np.array([0, n_lam])  # where the lam and psi parts of a packed x start
     tol2 = tol * tol
@@ -295,7 +318,7 @@ def run_inner_loop(model_id, w, n_g, s_bar, lam, psi, max_inner=MAX_INNER, tol=I
         nonlocal sweeps, floored
         sweeps += 1
         lam_new, psi_new, obj, fl = _sweep(
-            model_id, w, ws_diag, n_g, eye, x[:n_lam].reshape(g, d, k), x[n_lam:].reshape(g, d),
+            model_id, w, ws_diag, n_g, x[:n_lam].reshape(g, d, k), x[n_lam:].reshape(g, d),
             objective,
         )
         floored += fl

@@ -131,6 +131,34 @@ def sigma_bound_part(lam, psi, a_bar, n_g):
     return total
 
 
+def dense_sweep(model_id, w, ws_diag, n_g, lam, psi, psi_pattern, psi_floor):
+    """One stage-2 map call from the dense formulas: beta = lam' sigma^-1
+    by a d x d solve, theta = I - beta lam + beta W beta', the loadings by
+    solves against theta, then psi_pattern on the raw error variances,
+    floored at psi_floor.  Returns (lam, psi, objective at the input)."""
+    g, d, k = lam.shape
+    sigma = lam @ lam.transpose(0, 2, 1) + np.stack([np.diag(p) for p in psi])
+    beta = np.linalg.solve(sigma, lam).transpose(0, 2, 1)
+    wb = w @ beta.transpose(0, 2, 1)
+    theta = np.eye(k) - beta @ lam + beta @ wb
+    theta = 0.5 * (theta + theta.transpose(0, 2, 1))
+    resid = (ws_diag - np.einsum("gdk,gdk->gd", wb, lam)) / psi
+    objective = -0.5 * n_g @ (resid.sum(-1) + np.linalg.slogdet(sigma)[1])
+    if model_id.lambda_constrained:
+        weights = n_g[:, None] / psi
+        lhs = sum(weights[j][:, None, None] * theta[j] for j in range(g))
+        rhs = sum(weights[j][:, None] * wb[j] for j in range(g))
+        rows = np.stack([np.linalg.solve(lhs[i], rhs[i]) for i in range(d)])
+        lam_new = np.stack([rows] * g)
+        quad = np.einsum("gdk,gkl,gdl->gd", lam_new, theta, lam_new)
+        bvec = ws_diag - 2.0 * np.einsum("gdk,gdk->gd", lam_new, wb) + quad
+    else:
+        lam_new = np.linalg.solve(theta, wb.transpose(0, 2, 1)).transpose(0, 2, 1)
+        bvec = ws_diag - np.einsum("gdk,gdk->gd", lam_new, wb)
+    psi_new = np.maximum(psi_pattern(model_id, bvec, n_g), psi_floor)
+    return lam_new, psi_new, objective
+
+
 def random_spd(rng, d, scale=1.0):
     """A random symmetric positive definite matrix."""
     a = rng.standard_normal((d, d))

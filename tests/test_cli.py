@@ -211,6 +211,18 @@ def test_negative_seed_exits_one(tmp_path, capsys):
     assert "non-negative" in capsys.readouterr().err
 
 
+def test_count_beyond_int64_exits_one(tmp_path, capsys):
+    counts = tmp_path / "c.csv"
+    counts.write_text(
+        "id,a,b\n" + "".join(f"s{i},{2 + i},{5 + i}\n" for i in range(8))
+        + "s8,1,99999999999999999999\n",
+        encoding="utf-8",
+    )
+    assert fit_small(counts, tmp_path / "fit") == 1
+    assert "line 10, column 'b'" in capsys.readouterr().err
+    assert not (tmp_path / "fit").exists()
+
+
 def test_kmax_above_dimension_exits_one(tmp_path):
     counts = tmp_path / "c.csv"
     counts.write_text(

@@ -12,9 +12,9 @@ import pytest
 from mplnfa.core import ALL_MODELS, InputError, ModelId, NormalizationFactors
 from mplnfa.em import FitConfig, grid_search
 from mplnfa.io import (
+    _floats,
     _model_dict,
     _model_from_dict,
-    _write_rows,
     build_report,
     read_counts,
     read_factors_file,
@@ -82,6 +82,45 @@ def test_read_counts_rejects_ragged_rows(tmp_path):
     p = _write(tmp_path / "c.csv", "id,a,b\ns1,1,2\ns2,3\n")
     with pytest.raises(InputError, match="line 3"):
         read_counts(p)
+
+
+@pytest.mark.parametrize("body, line", [
+    ("s1,1,2\ns2,x,2\ns3,1,2\ns4,1\n", 3),  # a bad token before a ragged row
+    ("s1,1,2\ns2,1\ns3,-1,2\n", 3),  # a ragged row before a negative count
+    ("s1,1,-2\ns2,x,2\n", 2),  # a negative count before a bad token
+    ("s1,1,2\ns2,99999999999999999999,2\ns3,x\n", 3),  # an overflow before a ragged row
+])
+def test_read_counts_reports_the_first_fault_in_row_order(tmp_path, body, line):
+    p = _write(tmp_path / "c.csv", "id,a,b\n" + body)
+    with pytest.raises(InputError, match=rf"line {line}\b"):
+        read_counts(p)
+
+
+def test_read_counts_accepts_what_strip_then_int_accepts(tmp_path):
+    # int() alone rejects the separator controls that str.strip() removes
+    p = _write(tmp_path / "c.csv", "id,a,b\ns1,\x1c5,2\ns2, 7 ,3\n")
+    data, _ = read_counts(p)
+    np.testing.assert_array_equal(data.values, [[5, 2], [7, 3]])
+
+
+def test_read_counts_rejects_counts_beyond_int64(tmp_path):
+    p = _write(tmp_path / "c.csv", "id,a,b\ns1,1,2\ns2,3,99999999999999999999\n")
+    with pytest.raises(InputError, match=r"line 3, column 'b': '99999999999999999999' exceeds"):
+        read_counts(p)
+    top = np.iinfo(np.int64).max
+    data, _ = read_counts(_write(tmp_path / "top.csv", f"id,a\ns1,{top}\n"))
+    assert data.values[0, 0] == top
+
+
+def test_fields_over_the_csv_size_limit_are_input_errors(tmp_path):
+    big = "9" * (csv.field_size_limit() + 1)
+    counts = _write(tmp_path / "c.csv", f"id,a\ns1,1\ns2,{big}\n")
+    with pytest.raises(InputError, match=r"c\.csv, line 3: field larger than field limit"):
+        read_counts(counts)
+    ok = _write(tmp_path / "ok.csv", "id,a\ns1,1\ns2,2\n")
+    factors = _write(tmp_path / "f.csv", f"sample_id,factor\ns1,1.0\ns2,{big}\n")
+    with pytest.raises(InputError, match=r"f\.csv, line 3: field larger than field limit"):
+        read_counts(ok, normalize="file", factors_path=factors)
 
 
 def test_read_counts_rejects_structural_problems(tmp_path):
@@ -289,20 +328,38 @@ def test_write_plot_data(tmp_path, small_grid):
     assert float(rows[1][3]) == pytest.approx(x00, rel=1e-9)
 
 
+def _csv_writer_rows(path, header, rows):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def test_long_writers_match_per_cell_rows(tmp_path):
-    # The long artifacts format `tolist()` floats row by row; they must write
-    # the bytes of rows built one numpy cell at a time, with ids that need
-    # quoting and extreme values included.
-    sample_ids = ("a,b", 'say "hi"', "line\nbreak", " lead", "", "plain", "cr\rx")
-    var_ids = ("v,1", '"q"', " w", "v\n4")
+    # The writers join each row themselves and format each distinct float
+    # once; they must write the bytes that csv.writer writes for rows built
+    # one numpy cell at a time, with ids that need quoting, signed zeros,
+    # repeated and extreme values included.
+    sample_ids = ("a,b", 'say "hi"', "line\nbreak", " lead", "", "plain", "cr\rx", "again")
+    var_ids = ("v,1", '"q"', " w", "v\n4", "")
     n, d = len(sample_ids), len(var_ids)
     data = make_counts(np.arange(n * d).reshape(n, d) % 5, sample_ids, var_ids)
-    factors = NormalizationFactors(np.array([1.0, 1e-300, 3.0, 0.5, 1e300, 7.0, 2.0]))
+    # equal factors on the first and last rows repeat their values in x
+    factors = NormalizationFactors(np.array([1.0, 1e-300, 3.0, 0.5, 1e300, 7.0, 2.0, 1.0]))
     zhat = np.array([[1e-300, 1.0, 0.0], [1e300, 0.0, -2.5], [1 / 3, 2 / 3, 0.0],
                      [0.0, 1e-5, 123456.789], [5e-324, 1.0, 0.1], [0.5, 0.25, 0.25],
-                     [np.pi, np.e, 1e17]])
-    labels = np.array([1, 0, 1, 2, 0, 2, 1])
+                     [np.pi, np.e, 1e17], [-0.0, 0.0, 1 / 3]])
+    labels = np.array([1, 0, 1, 2, 0, 2, 1, 0])
     fit = types.SimpleNamespace(state=types.SimpleNamespace(zhat=zhat), assignments=labels)
+    entries = [
+        types.SimpleNamespace(g=1, k=2, model_id='U,"C', elbo_trace=(-0.0, 0.0, 0.0, -5.5, -5.5)),
+        types.SimpleNamespace(g=2, k=1, model_id="", elbo_trace=()),
+        types.SimpleNamespace(g=3, k=3, model_id="cr\rlf\n", elbo_trace=(1e300, np.nan, -np.inf)),
+        types.SimpleNamespace(g=4, k=1, model_id=" UUU", elbo_trace=(-5.5, 1 / 3, -0.0)),
+    ]
+    # x never holds -0.0 (log1p(0) - log 1 is +0.0), so the signed zeros of
+    # the float table are checked on their own
+    assert _floats(np.array([0.0, -0.0, 0.0, -0.0])).tolist() == ["0", "-0", "0", "-0"]
     x = np.log1p(data.values.astype(np.float64)) - np.log(factors.c)[:, None]
     expected = {
         "assign.csv": (["sample_id", "cluster", "posterior"],
@@ -313,13 +370,22 @@ def test_long_writers_match_per_cell_rows(tmp_path):
         "plot.csv": (["sample_id", "cluster", "variable", "value"],
                      [[s, int(labels[i]), v, f"{x[i, j]:.10g}"]
                       for i, s in enumerate(sample_ids) for j, v in enumerate(var_ids)]),
+        "counts.csv": (["sample_id", *var_ids],
+                       [[s, *(int(v) for v in data.values[i])]
+                        for i, s in enumerate(sample_ids)]),
+        "traces.csv": (["g", "k", "model", "iteration", "elbo"],
+                       [[e.g, e.k, e.model_id, t, f"{v:.10g}"]
+                        for e in entries for t, v in enumerate(e.elbo_trace)]),
     }
     write_assignments(tmp_path / "assign.csv", data, fit)
     write_posteriors(tmp_path / "post.csv", data, fit)
     write_plot_data(tmp_path / "plot.csv", data, factors, fit)
+    write_counts(tmp_path / "counts.csv", data)
+    write_traces(tmp_path / "traces.csv", entries)
     for name, (header, rows) in expected.items():
-        _write_rows(tmp_path / f"ref_{name}", header, rows)
+        _csv_writer_rows(tmp_path / f"ref_{name}", header, rows)
         assert (tmp_path / name).read_bytes() == (tmp_path / f"ref_{name}").read_bytes(), name
+    assert b"-0\r\n" in (tmp_path / "assign.csv").read_bytes()
     with open(tmp_path / "plot.csv", newline="", encoding="utf-8") as fh:
         assert [r[0] for r in list(csv.reader(fh))[1::d]] == list(sample_ids)
 

@@ -1,9 +1,12 @@
-"""The comparison of `scripts/artifact_digest.py --values --against`."""
+"""`scripts/artifact_digest.py`: its fixed quoted-id input and the
+comparison of `--values --against`."""
 
 import importlib.util
 from pathlib import Path
 
 import pytest
+
+from mplnfa.io import read_counts
 
 _SPEC = importlib.util.spec_from_file_location(
     "artifact_digest", Path(__file__).resolve().parent.parent / "scripts" / "artifact_digest.py")
@@ -53,3 +56,15 @@ def test_a_changed_counter_line_is_a_mismatch():
 def test_listings_of_different_lengths_disagree():
     assert compare_values(SAVED[:2], SAVED, rtol=1e-10) == ["2 lines against 3 saved"]
     assert compare_values(SAVED + SAVED[:1], SAVED, rtol=1e-10) == ["4 lines against 3 saved"]
+
+
+def test_the_quoted_input_needs_quoting_and_is_fitted(tmp_path):
+    path = tmp_path / artifact_digest.QUOTED_INPUT
+    artifact_digest.write_quoted_counts(path)
+    data, _ = read_counts(path)
+    assert data.values.shape == (40, 3)
+    for ids in (data.sample_ids, data.var_ids):
+        for mark in (",", '"', "\r", "\n"):
+            assert any(mark in i for i in ids), mark
+    assert any(c[0] == "fit" and c[c.index("--input") + 1] == artifact_digest.QUOTED_INPUT
+               for c in artifact_digest.COMMANDS)

@@ -14,7 +14,13 @@ from mplnfa.stage2 import (
 )
 import mplnfa.stage2 as stage2
 
-from oracles import aggregated_stage2_objective, fd_grad, random_loadings_psi, random_spd
+from oracles import (
+    aggregated_stage2_objective,
+    dense_sweep,
+    fd_grad,
+    random_loadings_psi,
+    random_spd,
+)
 
 
 def constrained_draw(rng, mid, g, d, k):
@@ -275,7 +281,7 @@ def test_sweep_objective_is_the_aggregated_bound(rng, mid):
         g, d, k = int(rng.integers(1, 4)), int(rng.integers(3, 7)), int(rng.integers(1, 3))
         w, n_g, s_bar, lam, psi = random_stats(rng, g, d, k, mid)
         ws_diag = np.diagonal(w, axis1=1, axis2=2) + s_bar
-        objective = stage2._sweep(mid, w, ws_diag, n_g, np.eye(k), lam, psi)[2]
+        objective = stage2._sweep(mid, w, ws_diag, n_g, lam, psi)[2]
         s_bar_full = np.stack([np.diag(s_bar[j]) for j in range(g)])
         ref = aggregated_stage2_objective(lam, psi, w, s_bar_full, n_g)
         assert objective - 0.5 * k * n_g.sum() == pytest.approx(ref, rel=1e-10)
@@ -289,11 +295,30 @@ def test_sweep_without_objective_returns_the_same_bits(rng, mid):
         g, d, k = int(rng.integers(1, 4)), int(rng.integers(3, 7)), int(rng.integers(1, 3))
         w, n_g, s_bar, lam, psi = random_stats(rng, g, d, k, mid)
         ws_diag = np.diagonal(w, axis1=1, axis2=2) + s_bar
-        args = (mid, w, ws_diag, n_g, np.eye(k), lam, psi)
+        args = (mid, w, ws_diag, n_g, lam, psi)
         lam_a, psi_a, obj_a, fl_a = stage2._sweep(*args)
         lam_b, psi_b, obj_b, fl_b = stage2._sweep(*args, objective=False)
         assert np.isfinite(obj_a) and obj_b is None and fl_a == fl_b
         assert lam_a.tobytes() == lam_b.tobytes() and psi_a.tobytes() == psi_b.tobytes()
+
+
+@pytest.mark.parametrize("mid", ALL_MODELS, ids=str)
+@pytest.mark.parametrize("k_of_d", ["one", "d"])
+def test_sweep_matches_the_dense_formulas(rng, mid, k_of_d):
+    # the sweep builds beta, theta and the loadings from one K x K inverse
+    # of the core; the reference solves sigma (d x d) and theta instead
+    for _ in range(5):
+        g, d = int(rng.integers(1, 4)), int(rng.integers(3, 7))
+        k = 1 if k_of_d == "one" else d
+        w, n_g, s_bar, lam, psi = random_stats(rng, g, d, k, mid)
+        ws_diag = np.diagonal(w, axis1=1, axis2=2) + s_bar
+        lam_new, psi_new, obj, _ = stage2._sweep(mid, w, ws_diag, n_g, lam, psi)
+        lam_ref, psi_ref, obj_ref = dense_sweep(mid, w, ws_diag, n_g, lam, psi,
+                                                stage2._psi_pattern, stage2.PSI_FLOOR)
+        np.testing.assert_allclose(lam_new, lam_ref, rtol=0,
+                                   atol=1e-10 * np.abs(lam_ref).max())
+        np.testing.assert_allclose(psi_new, psi_ref, rtol=1e-10)
+        assert obj == pytest.approx(obj_ref, rel=1e-10)
 
 
 @given(seed=st.integers(0, 5_000))

@@ -97,7 +97,8 @@ class CountMatrix:
         if not np.issubdtype(values.dtype, np.integer):
             if not np.all(values == np.floor(values)):
                 raise InputError("counts must be integers")
-            values = values.astype(np.int64)
+            if not np.all(values < 2.0**63):  # +inf or past int64: no int64 to cast to
+                raise InputError(f"counts must be finite and at most {np.iinfo(np.int64).max}")
         if np.any(values < 0):
             raise InputError("counts must be nonnegative")
         object.__setattr__(self, "values", _freeze(values.astype(np.int64)))

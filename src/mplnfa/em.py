@@ -444,7 +444,6 @@ def _sigma_step(model_id, a_bar, n_g, sigma):
     loop is a generalized EM step.  Returns the factors of the new sigma
     (`_sigma_from`) and the inner loop's info dict.
     """
-    a_bar = 0.5 * (a_bar + a_bar.transpose(0, 2, 1))
     lam, psi, info = stage2.run_inner_loop(model_id, a_bar, n_g, np.zeros(a_bar.shape[:2]),
                                            *sigma[:2], max_inner=SIGMA_STEP_CALLS)
     return _sigma_from(lam, psi), info

@@ -7,12 +7,16 @@ writes `report.json`, `assignments.csv`, `posteriors.csv`,
 `params.json` and `truth_r*.json`; an evaluation `metrics.json`.  The
 JSON artifacts, all written by `write_report`, have a stable field order
 and no volatile fields, so reruns produce byte-identical artifacts.
-`_read_fit_dir` and `_read_truth` read what `evaluate` scores.
+`_read_fit_dir` and `_read_truth` read what `evaluate` scores.  Each CSV
+is read in one streamed pass (`_rows`); `read_counts` parses only a faulty
+row cell by cell, so an error names the first fault in file order.
 """
 
 import csv
 import hashlib
 import json
+from array import array
+from contextlib import closing
 from dataclasses import fields
 from pathlib import Path
 
@@ -38,22 +42,24 @@ NORMALIZE_MODES = ("none", "libsize", "file")
 INT64_MAX = int(np.iinfo(np.int64).max)
 
 
-def _read_rows(path):
+def _rows(path):
+    """(row number, fields) of each row of a UTF-8 CSV as `csv.reader`
+    streams it, the header first.  A missing or empty file, bad UTF-8 or a
+    csv fault (e.g. a field over `csv.field_size_limit()`) is an InputError.
+    Callers wrap it in `contextlib.closing`, so the file closes on any exit."""
     path = Path(path)
     if not path.exists():
         raise InputError(f"file not found: {path}")
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            try:
-                rows = list(reader)
-            except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
-                raise InputError(f"{path}, line {reader.line_num}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise InputError(f"{path} is not valid UTF-8: {exc}") from None
-    if not rows:
-        raise InputError(f"{path} is empty")
-    return rows
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            yield from enumerate(reader, start=1)
+        except csv.Error as exc:
+            raise InputError(f"{path}, line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path} is not valid UTF-8: {exc}") from None
+        if reader.line_num == 0:
+            raise InputError(f"{path} is empty")
 
 
 def read_counts(path, normalize="none", factors_path=None):
@@ -71,19 +77,30 @@ def read_counts(path, normalize="none", factors_path=None):
 
     Returns (CountMatrix, NormalizationFactors).
     """
-    rows = _read_rows(path)
-    header = rows[0]
-    if len(header) < 2:
-        raise InputError(
-            f"{path}: header must name a sample-id column and at least one count column"
-        )
-    var_ids = tuple(h.strip() for h in header[1:])
-    body = rows[1:]
-    if not body:
+    sample_ids, values = [], array("q")
+    with closing(_rows(path)) as rows:
+        _, header = next(rows)
+        if len(header) < 2:
+            raise InputError(
+                f"{path}: header must name a sample-id column and at least one count column"
+            )
+        var_ids = tuple(h.strip() for h in header[1:])
+        width = len(header)
+        # one int map per row; only a faulty row is parsed cell by cell
+        for r, row in rows:
+            try:
+                counts = list(map(int, row[1:]))
+                if len(row) != width or min(counts) < 0:  # min([]) raises too
+                    raise ValueError
+                values.fromlist(counts)  # OverflowError past int64, adding nothing
+            except (ValueError, OverflowError):
+                values.fromlist(_row_counts(path, r, row, var_ids))
+            sample_ids.append(row[0].strip())
+    if not sample_ids:
         raise InputError(f"{path}: no data rows")
     data = CountMatrix(
-        values=_parse_counts(path, body, var_ids),
-        sample_ids=tuple(row[0].strip() for row in body), var_ids=var_ids,
+        values=np.frombuffer(values, dtype=np.int64).reshape(len(sample_ids), len(var_ids)),
+        sample_ids=tuple(sample_ids), var_ids=var_ids,
     )
 
     normalize = str(normalize).strip().lower()
@@ -94,7 +111,8 @@ def read_counts(path, normalize="none", factors_path=None):
     if normalize == "none":
         factors = NormalizationFactors.ones(data.n)
     elif normalize == "libsize":
-        totals = data.values.sum(axis=1).astype(np.float64)
+        # float64 totals cannot wrap, and are exact below 2**53
+        totals = data.values.sum(axis=1, dtype=np.float64)
         if np.any(totals == 0):
             bad = data.sample_ids[int(np.argmin(totals))]
             raise InputError(
@@ -108,76 +126,53 @@ def read_counts(path, normalize="none", factors_path=None):
     return data, factors
 
 
-def _parse_counts(path, body, var_ids):
-    """The (n, d) int64 counts of the data rows `body`, one `int` map per
-    row.  Any fault sends the whole body to `_parse_cells`, which raises
-    the first one in row order."""
+def _row_counts(path, r, row, var_ids):
+    """The counts of the faulty data row `row` (row number r), cell by cell:
+    raises an InputError naming the line and column of its first fault,
+    or returns them where only `int(token.strip())` accepts a token
+    (`str.strip` strips more than `int`)."""
     width = len(var_ids) + 1
-    if all(len(row) == width for row in body):
-        values = np.empty((len(body), width - 1), dtype=np.int64)
+    if len(row) != width:
+        raise InputError(f"{path}, line {r}: expected {width} fields, found {len(row)}")
+    counts = []
+    for var, tok in zip(var_ids, row[1:]):
         try:
-            for i, row in enumerate(body):
-                values[i] = list(map(int, row[1:]))
-        except (ValueError, OverflowError):
-            pass
-        else:
-            if values.min() >= 0:
-                return values
-    return _parse_cells(path, body, var_ids)
-
-
-def _parse_cells(path, body, var_ids):
-    """`_parse_counts` cell by cell: raises an InputError naming the line
-    and column of the first fault, or returns the counts where only
-    `int(token.strip())` accepts a token (`str.strip` strips more than `int`)."""
-    width = len(var_ids) + 1
-    values = []
-    for r, row in enumerate(body, start=2):
-        if len(row) != width:
-            raise InputError(f"{path}, line {r}: expected {width} fields, found {len(row)}")
-        parsed = []
-        for j, tok in enumerate(row[1:]):
-            try:
-                v = int(tok.strip())
-            except ValueError:
-                raise InputError(
-                    f"{path}, line {r}, column {var_ids[j]!r}: {tok!r} is not an integer"
-                ) from None
-            if v < 0:
-                raise InputError(
-                    f"{path}, line {r}, column {var_ids[j]!r}: counts must be nonnegative"
-                )
-            if v > INT64_MAX:
-                raise InputError(
-                    f"{path}, line {r}, column {var_ids[j]!r}: {tok!r} exceeds the largest "
-                    f"count, {INT64_MAX}"
-                )
-            parsed.append(v)
-        values.append(parsed)
-    return np.asarray(values, dtype=np.int64)
+            v = int(tok.strip())
+        except ValueError:
+            raise InputError(
+                f"{path}, line {r}, column {var!r}: {tok!r} is not an integer"
+            ) from None
+        if v < 0:
+            raise InputError(f"{path}, line {r}, column {var!r}: counts must be nonnegative")
+        if v > INT64_MAX:
+            raise InputError(
+                f"{path}, line {r}, column {var!r}: {tok!r} exceeds the largest count, {INT64_MAX}"
+            )
+        counts.append(v)
+    return counts
 
 
 def read_factors_file(path, sample_ids):
     """Exposure factors from a two-column CSV, aligned to sample_ids."""
-    rows = _read_rows(path)
-    if len(rows[0]) < 2:
-        raise InputError(f"{path}: expected columns (sample_id, factor)")
     table = {}
-    for r, row in enumerate(rows[1:], start=2):
-        if len(row) < 2:
-            raise InputError(f"{path}, line {r}: expected two fields")
-        sid = row[0].strip()
-        if sid in table:
-            raise InputError(f"{path}, line {r}: duplicate sample id {sid!r}")
-        try:
-            val = float(row[1])
-        except ValueError:
-            raise InputError(
-                f"{path}, line {r}: {row[1]!r} is not a number"
-            ) from None
-        if not np.isfinite(val) or val <= 0:
-            raise InputError(f"{path}, line {r}: factors must be positive, got {row[1]!r}")
-        table[sid] = val
+    with closing(_rows(path)) as rows:
+        if len(next(rows)[1]) < 2:
+            raise InputError(f"{path}: expected columns (sample_id, factor)")
+        for r, row in rows:
+            if len(row) < 2:
+                raise InputError(f"{path}, line {r}: expected two fields")
+            sid = row[0].strip()
+            if sid in table:
+                raise InputError(f"{path}, line {r}: duplicate sample id {sid!r}")
+            try:
+                val = float(row[1])
+            except ValueError:
+                raise InputError(
+                    f"{path}, line {r}: {row[1]!r} is not a number"
+                ) from None
+            if not np.isfinite(val) or val <= 0:
+                raise InputError(f"{path}, line {r}: factors must be positive, got {row[1]!r}")
+            table[sid] = val
     missing = [s for s in sample_ids if s not in table]
     if missing:
         raise InputError(f"{path}: missing factors for samples {missing[:5]!r}")
@@ -363,11 +358,13 @@ def _read_fit_dir(path):
         _model_from_dict(report["parameters"]),
     ))
     labels = []
-    for r, row in enumerate(_read_rows(assign_path)[1:], start=2):
-        try:
-            labels.append(int(row[1]))
-        except (IndexError, ValueError):
-            raise InputError(f"{assign_path}, line {r}: cluster must be an integer") from None
+    with closing(_rows(assign_path)) as rows:
+        next(rows)
+        for r, row in rows:
+            try:
+                labels.append(int(row[1]))
+            except (IndexError, ValueError):
+                raise InputError(f"{assign_path}, line {r}: cluster must be an integer") from None
     return selected, model, np.asarray(labels)
 
 

@@ -119,11 +119,11 @@ def make_stage2_stats(zhat, m, mu):
         raise EmptyComponentError("empty component in second-stage statistics")
     # sqrt(zhat)-weighted deviations laid out (G, n, d) in memory: one
     # contiguous operand times its own transpose takes half the time of
-    # the product of two strided operands once d is in the hundreds
+    # the product of two strided operands once d is in the hundreds, and
+    # matmul makes such a product exactly symmetric
     v = np.subtract(m.transpose(1, 0, 2), mu[:, None], order="C")
     v *= np.sqrt(zhat.T)[..., None]
-    w = (v.transpose(0, 2, 1) @ v) / n_g[:, None, None]
-    return 0.5 * (w + w.transpose(0, 2, 1))
+    return (v.transpose(0, 2, 1) @ v) / n_g[:, None, None]
 
 
 def _factor_core(lam, psi):

@@ -158,6 +158,13 @@ def test_count_matrix_validation():
         make_counts([[0, -1], [2, 3]])
     with pytest.raises(InputError):
         make_counts([[0.5, 1.0], [2.0, 3.0]])
+    # no int64 holds these: rejected before the cast, not cast to garbage
+    for big in (np.inf, 1e19, 2.0**63):
+        with pytest.raises(InputError, match="finite and at most"):
+            make_counts([[1.0, big]])
+    with pytest.raises(InputError, match="nonnegative"):
+        make_counts([[1.0, -np.inf]])
+    np.testing.assert_array_equal(make_counts([[1.0, 2.0**62]]).values, [[1, 2**62]])
     with pytest.raises(InputError):
         make_counts([[0, 1], [2, 3]], sample_ids=("a", "a"))
 

@@ -57,6 +57,14 @@ def test_read_counts_libsize_factors(tmp_path):
     np.testing.assert_allclose(factors.c, [0.5, 1.0, 2.0], rtol=1e-15)
 
 
+def test_read_counts_libsize_totals_beyond_int64(tmp_path):
+    # the first row's total, 1e19, is past the int64 range
+    p = _write(tmp_path / "c.csv",
+               "id,a,b\ns1,5000000000000000000,5000000000000000000\ns2,1,2\ns3,3,4\n")
+    _, factors = read_counts(p, normalize="libsize")
+    np.testing.assert_allclose(factors.c, [1e19 / 7, 3 / 7, 1.0], rtol=1e-15)
+
+
 def test_read_counts_file_mode_aligns_by_sample(tmp_path):
     counts = _write(tmp_path / "c.csv", "id,a\ns1,5\ns2,6\n")
     fac = _write(tmp_path / "f.csv", "sample_id,factor\ns2,2.0\ns1,0.25\n")
@@ -89,6 +97,8 @@ def test_read_counts_rejects_ragged_rows(tmp_path):
     ("s1,1,2\ns2,1\ns3,-1,2\n", 3),  # a ragged row before a negative count
     ("s1,1,-2\ns2,x,2\n", 2),  # a negative count before a bad token
     ("s1,1,2\ns2,99999999999999999999,2\ns3,x\n", 3),  # an overflow before a ragged row
+    pytest.param(f"s1,x,2\ns2,{'9' * (csv.field_size_limit() + 1)},2\n", 2,
+                 id="a bad token before a field over the csv size limit"),
 ])
 def test_read_counts_reports_the_first_fault_in_row_order(tmp_path, body, line):
     p = _write(tmp_path / "c.csv", "id,a,b\n" + body)

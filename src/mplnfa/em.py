@@ -172,28 +172,23 @@ def _kmeans(x, g, rng, n_starts, max_iter=200):
     n, d = x.shape
     best_labels, best_wcss = None, np.inf
     for _ in range(n_starts):
-        labels = None
-        centers = None
         for _attempt in range(KMEANS_RESEEDS):
             centers = x[rng.choice(n, size=g, replace=False)]
-            lab = _assign_labels(x, centers)
-            ok = True
+            labels = _assign_labels(x, centers)
             for _it in range(max_iter):
-                counts = np.bincount(lab, minlength=g)
+                counts = np.bincount(labels, minlength=g)
                 if np.any(counts == 0):
-                    ok = False
                     break
                 centers = np.zeros((g, d))
-                np.add.at(centers, lab, x)
+                np.add.at(centers, labels, x)
                 centers /= counts[:, None]
-                new_lab = _assign_labels(x, centers)
-                if np.array_equal(new_lab, lab):
+                new_labels = _assign_labels(x, centers)
+                if np.array_equal(new_labels, labels):
                     break
-                lab = new_lab
-            if ok:
-                labels = lab
+                labels = new_labels
+            if counts.all():  # no cluster emptied out
                 break
-        if labels is None:
+        else:
             raise NumericalError(
                 f"k-means produced an empty cluster in {KMEANS_RESEEDS} consecutive seedings"
             )
@@ -571,10 +566,10 @@ def _resolve_threads(threads):
 
 
 def _pool_size(workers, count):
-    """Worker processes `_completed` runs `count` calls on: none (a plain
-    loop in the calling thread) when one worker would do, when the process
-    has other Python threads (forking them is unsafe), or where the
-    platform cannot fork."""
+    """Forked worker processes that `grid_search` runs its `count` triples
+    on: none (a plain loop in the calling thread) when one worker would do,
+    when the process has other Python threads (forking them is unsafe), or
+    where the platform cannot fork."""
     workers = min(workers, count)
     if workers < 2 or threading.active_count() > 1 or not hasattr(os, "fork"):
         return 0
@@ -592,29 +587,6 @@ def _set_task(task):
 
 def _run_task(i):
     return _task(i)
-
-
-def _completed(one, count, workers):
-    """Yield (i, one(i)) for i in range(count), in the order they finish.
-
-    `workers` forked processes run the calls (`_pool_size`), or with 0 a
-    plain loop in the calling thread does.  Fork hands `one`, with the
-    data it closes over, to each worker by inheritance, so only the
-    indices and the results are pickled.
-    """
-    if not workers:
-        for i in range(count):
-            yield i, one(i)
-        return
-    # Loaded only here: a process that runs no pool does not pay for it.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor, as_completed
-
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                             initializer=_set_task, initargs=(one,)) as pool:
-        futures = {pool.submit(_run_task, i): i for i in range(count)}
-        for fut in as_completed(futures):
-            yield futures.pop(fut), fut.result()
 
 
 def _spool_fit(spool, i, entry, fit):
@@ -638,7 +610,7 @@ def _load_fit(path):
 def grid_search(data, factors, config, threads=None):
     """Fit every (G, K, model) triple and select by BIC.
 
-    `threads` caps the worker processes (`_completed`); it never changes
+    `threads` caps the worker processes (`_pool_size`); it never changes
     the result.  Workers spool their fits to a temporary directory
     (`tempfile`'s default location, which honours TMPDIR) that is removed
     before the call returns or raises; only the selected fit is read back
@@ -692,22 +664,32 @@ def grid_search(data, factors, config, threads=None):
             n_iter=fit.n_iter, error="", elbo_trace=tuple(fit.elbo_trace),
         ), fit
 
-    # Entries are taken as they finish and only the best fit is kept, so no
-    # finished fit waits in memory for an earlier triple to finish.  Pooled
-    # fits wait in the spool instead, and only the selected one is read
-    # back; the spool outlives the pool, which is shut down first.
+    # Entries are taken in triple order and only the best fit is kept.
+    # Forked workers inherit `_one`, with the data it closes over, so only
+    # indices and (entry, spool path) pairs are pickled; pooled fits wait
+    # in the spool and only the selected one is read back.  The stack shuts
+    # the pool down before it removes the spool.
     workers = _pool_size(threads, len(triples))
-    spool = tempfile.TemporaryDirectory(prefix="mplnfa-") if workers else contextlib.nullcontext()
     results = [None] * len(triples)
     best_key, best_fit = (np.inf, 0), None
-    with spool as spool_dir:
-        task = (lambda i: _spool_fit(spool_dir, i, *_one(i))) if workers else _one
-        with contextlib.closing(_completed(task, len(triples), workers)) as done:
-            for i, (entry, fit) in done:
-                results[i] = entry
-                key = (entry.bic, i)
-                if not entry.degenerate and np.isfinite(key[0]) and key < best_key:
-                    best_key, best_fit = key, fit
+    with contextlib.ExitStack() as stack:
+        if workers:
+            # Loaded only here: a process that runs no pool does not pay for it.
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
+            spool = stack.enter_context(tempfile.TemporaryDirectory(prefix="mplnfa-"))
+            pool = stack.enter_context(ProcessPoolExecutor(
+                workers, mp_context=multiprocessing.get_context("fork"),
+                initializer=_set_task, initargs=(lambda i: _spool_fit(spool, i, *_one(i)),)))
+            done = pool.map(_run_task, range(len(triples)))
+        else:
+            done = map(_one, range(len(triples)))
+        for i, (entry, fit) in enumerate(done):
+            results[i] = entry
+            key = (entry.bic, i)
+            if not entry.degenerate and np.isfinite(key[0]) and key < best_key:
+                best_key, best_fit = key, fit
         if workers and best_fit is not None:
             best_fit = _load_fit(best_fit)
 

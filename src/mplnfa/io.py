@@ -43,8 +43,9 @@ INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def _rows(path):
-    """(row number, fields) of each row of a UTF-8 CSV as `csv.reader`
-    streams it, the header first.  A missing or empty file, bad UTF-8 or a
+    """(line, fields) of each row of a UTF-8 CSV as `csv.reader` streams
+    it, the header first; line is the physical line the row ends on, the
+    line a csv fault names too.  A missing or empty file, bad UTF-8 or a
     csv fault (e.g. a field over `csv.field_size_limit()`) is an InputError.
     Callers wrap it in `contextlib.closing`, so the file closes on any exit."""
     path = Path(path)
@@ -53,7 +54,8 @@ def _rows(path):
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
-            yield from enumerate(reader, start=1)
+            for row in reader:
+                yield reader.line_num, row
         except csv.Error as exc:
             raise InputError(f"{path}, line {reader.line_num}: {exc}") from None
         except UnicodeDecodeError as exc:
@@ -127,9 +129,9 @@ def read_counts(path, normalize="none", factors_path=None):
 
 
 def _row_counts(path, r, row, var_ids):
-    """The counts of the faulty data row `row` (row number r), cell by cell:
-    raises an InputError naming the line and column of its first fault,
-    or returns them where only `int(token.strip())` accepts a token
+    """The counts of the faulty data row `row`, which ends on line r, cell
+    by cell: raises an InputError naming the line and column of its first
+    fault, or returns them where only `int(token.strip())` accepts a token
     (`str.strip` strips more than `int`)."""
     width = len(var_ids) + 1
     if len(row) != width:

@@ -172,9 +172,11 @@ def _elbo_m_part(y, logc, m, s_diag, mu, sigma):
 def update_m(y, c, sigma, mu, m_prev, s_new):
     """Guarded Newton-style refresh of the variational mean.
 
-    Takes the step S_new @ grad, or if the bound decreases the first of
-    its halvings that `_halve` accepts; returns a copy of the input when
-    the gradient sup-norm is below `GRAD_TOL` or no step length helps.
+    Takes the first of the steps eta S_new @ grad, eta = 1, 1/2, ...
+    (`MAX_HALVINGS` halvings), whose bound is finite and not below the
+    old one less a 1e-12 relative slack, in a plain loop of its own;
+    returns a copy of the input when the gradient sup-norm is below
+    `GRAD_TOL` or no step length helps.
     """
     y = _check_counts(y)
     d = y.shape[0]
@@ -198,11 +200,12 @@ def update_m(y, c, sigma, mu, m_prev, s_new):
     step = s_new @ grad
     f0 = _elbo_m_part(y, logc, m_prev, s_diag, mu, sigma)
     floor = f0 - 1e-12 * max(1.0, abs(f0))
-    f1 = _elbo_m_part(y, logc, m_prev + step, s_diag, mu, sigma)
-    if np.isfinite(f1) and f1 >= floor:
-        return m_prev + step
-    eta = _halve(lambda e: _elbo_m_part(y, logc, m_prev + e * step, s_diag, mu, sigma), floor)
-    return m_prev + eta * step if eta > 0 else m_prev.copy()
+    for eta in 0.5 ** np.arange(MAX_HALVINGS + 1):
+        m = m_prev + eta * step
+        f = _elbo_m_part(y, logc, m, s_diag, mu, sigma)
+        if np.isfinite(f) and f >= floor:
+            return m
+    return m_prev.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -453,26 +456,6 @@ def _s_of(rho, sigma):
     return (s_d, s_w, _s_diag((s_d, s_w))), sig_logdet - np.log1p(psi_rho).sum(-1) - logdet_m
 
 
-def _halve(phi_at, floor):
-    """The step-halving search shared by the guarded updates.
-
-    Tries eta = 1/2, 1/4, ... (`MAX_HALVINGS` values) for every entry of
-    `floor` and returns each entry's first eta whose objective is finite
-    and at least its floor, or 0 where none is.  phi_at(eta) gets the
-    current eta of every entry (an accepted entry keeps its own) and
-    returns their objectives.
-    """
-    eta = np.full(np.shape(floor), 0.5)
-    ok = np.zeros(eta.shape, dtype=bool)
-    for _ in range(MAX_HALVINGS):
-        phi = phi_at(eta)
-        ok |= np.isfinite(phi) & (phi >= floor)
-        if ok.all():
-            break
-        eta[~ok] *= 0.5
-    return np.where(ok, eta, 0.0)
-
-
 def _guard_pairs(phi_old, new, old, at, phi, move=True):
     """The per-pair ascent guard shared by the batched S and m steps.
 
@@ -480,25 +463,29 @@ def _guard_pairs(phi_old, new, old, at, phi, move=True):
     its full step; `new` and `old` are matching tuples of the pieces
     (n, G, ...) after and before it.  A pair that may `move` and whose
     phi is not finite or falls below phi_old, less a 1e-12 relative
-    slack, is guarded: `_halve` searches its step length, with
-    at(eta, i, j) giving the objectives and the pieces of pairs (i, j)
-    at step lengths eta.  Accepted pairs get those pieces in `new`; a
+    slack, is guarded: it tries step lengths eta = 1/2, 1/4, ...
+    (`MAX_HALVINGS` values), with at(eta, i, j) giving the objectives and
+    the pieces of the pairs (i, j) still searching.  A pair takes the
+    pieces of its first finite eta at or above its floor into `new`; a
     pair with no passing step gets its `old` pieces back, bitwise.
     Returns the number of guarded pairs.
     """
     floor = phi_old - 1e-12 * np.maximum(1.0, np.abs(phi_old))
     bad = move & ~(np.isfinite(phi) & (phi >= floor))
-    n_guarded = int(np.count_nonzero(bad))
-    if n_guarded:
-        bi, bg = np.nonzero(bad)
-        eta = _halve(lambda e: at(e, bi, bg)[0], floor[bi, bg])
-        ok = eta > 0
+    bi, bg = np.nonzero(bad)
+    n_guarded = bi.size
+    for eta in 0.5 ** np.arange(1, MAX_HALVINGS + 1):
+        if not bi.size:
+            break
+        phi_c, pieces = at(eta, bi, bg)
+        ok = np.isfinite(phi_c) & (phi_c >= floor[bi, bg])
         i, j = bi[ok], bg[ok]
-        for a, piece in zip(new, at(eta[ok], i, j)[1]):
-            a[i, j] = piece
-        i, j = bi[~ok], bg[~ok]
+        for a, piece in zip(new, pieces):
+            a[i, j] = piece[ok]
+        bi, bg = bi[~ok], bg[~ok]
+    else:  # the halvings ran out
         for a, b in zip(new, old):
-            a[i, j] = b[i, j]
+            a[bi, bg] = b[bi, bg]
     return n_guarded
 
 
@@ -524,7 +511,7 @@ def _update_s_guarded(sigma, obs, m, s, trs, logdet_s, pois, rate):
     def at(eta, i, j):
         """Objectives and pieces (S, tr(sigma^-1 S), log|S|, rates,
         Poisson term) at S(r / eta) of pairs (i, j)."""
-        rho = rate[i, j] / eta[:, None]
+        rho = rate[i, j] / eta
         s_c, logdet_c = _s_of(rho[None], _take(sigma, j))
         s_c = tuple(a[0] for a in s_c)
         rate_c, pois_c, _ = _poisson_batch(tuple(a[i] for a in obs), m[i, j], s_c[2])
@@ -563,7 +550,7 @@ def _update_m_guarded(obs, sigma, mu, m, s, rate, pois, quad):
     def at(eta, i, j):
         """Objectives and pieces (m, rates, Poisson term,
         (m - mu)' sigma^-1 (m - mu)) at m + eta S grad of pairs (i, j)."""
-        m_c = m[i, j] + eta[:, None] * step[i, j]
+        m_c = m[i, j] + eta * step[i, j]
         rate_c, pois_c, _ = _poisson_batch(tuple(a[i] for a in obs), m_c, s_diag[i, j])
         quad_c = _quad_batch(m_c[None], mu[j], _take(sigma, j))[0]
         return pois_c - 0.5 * quad_c, (m_c, rate_c, pois_c, quad_c)

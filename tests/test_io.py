@@ -99,6 +99,11 @@ def test_read_counts_rejects_ragged_rows(tmp_path):
     ("s1,1,2\ns2,99999999999999999999,2\ns3,x\n", 3),  # an overflow before a ragged row
     pytest.param(f"s1,x,2\ns2,{'9' * (csv.field_size_limit() + 1)},2\n", 2,
                  id="a bad token before a field over the csv size limit"),
+    # a quoted id holding LF spans lines 2 and 3, so the next row's fault is
+    # on line 4 whether the parser or the csv reader finds it
+    ('"s\n1",1,2\ns2,x,2\n', 4),
+    pytest.param(f'"s\n1",1,2\ns2,{"9" * (csv.field_size_limit() + 1)},2\n', 4,
+                 id="a field over the csv size limit after a quoted LF"),
 ])
 def test_read_counts_reports_the_first_fault_in_row_order(tmp_path, body, line):
     p = _write(tmp_path / "c.csv", "id,a,b\n" + body)

@@ -408,6 +408,15 @@ def _s_phi(sig_inv, y, logc, m, s):
 
 
 def test_s_step_halving_matches_dense_loop():
+    _check_s_step_halving(every_rejected=False)
+
+
+def test_s_step_halving_reverts_every_pair_when_none_passes():
+    # no guarded pair finds a passing step, so no candidate is left to keep
+    _check_s_step_halving(every_rejected=True)
+
+
+def _check_s_step_halving(every_rejected):
     # Large component covariances and small rates: the fixed-point step
     # S(r) = (sigma^-1 + diag r)^-1 from a small S overshoots, and the
     # bound terms along the candidates S(r / eta), eta = 1, 1/2, ..., peak
@@ -438,11 +447,13 @@ def test_s_step_halving_matches_dense_loop():
         assert phis[i, j, b] > phis[i, j, :b].max() + 1e-3
         floor[i, j] = 0.5 * (phis[i, j, b] + phis[i, j, :b].max())
     floor[1, 0] = phis[1, 0].max() + 1.0  # nothing passes
+    if every_rejected:  # nor for any other pair
+        floor = phis.max(axis=-1) + 1.0
     # phi_old = -tr/2 + log|S|/2 + Poisson term, so these caches make it the floor
     s_new, trs, logdet_s, rate, pois, _, n_guarded = stage1._update_s_guarded(
         sigma, obs, m, s, zeros, 2.0 * floor, zeros, rate0,
     )
-    assert n_guarded == 3
+    assert n_guarded == (4 if every_rejected else 3)
     # the carried diag S is the kernel's diag of the returned S, bit for
     # bit, at the full step, at the halvings and at the reverted pair
     np.testing.assert_array_equal(s_new[2], stage1._s_diag(s_new))
@@ -466,6 +477,15 @@ def test_s_step_halving_matches_dense_loop():
 
 
 def test_m_step_halving_matches_dense_loop():
+    _check_m_step_halving(every_rejected=False)
+
+
+def test_m_step_halving_reverts_every_pair_when_none_passes():
+    # no guarded pair finds a passing step, so no candidate is left to keep
+    _check_m_step_halving(every_rejected=True)
+
+
+def _check_m_step_halving(every_rejected):
     # Means 3 below log(y + 1) under a large S: the step S grad overshoots
     # the rates' balance point several times over, so the bound terms
     # along m + eta S grad, eta = 1, 1/2, ..., rise at least to
@@ -512,12 +532,14 @@ def test_m_step_halving_matches_dense_loop():
         assert phis[i, j, b] > phis[i, j, :b].max() + 1e-3
         floor[i, j] = 0.5 * (phis[i, j, b] + phis[i, j, :b].max())
     floor[1, 0] = phis[1, 0].max() + 1.0  # nothing passes
+    if every_rejected:  # nor for any other pair
+        floor = phis.max(axis=-1) + 1.0
     # phi_old = Poisson term - quad/2, so these caches make it the floor
     s_before = tuple(a.copy() for a in s)
     m_new, rate, pois, quad, _, n_guarded = stage1._update_m_guarded(
         obs, sigma, mu, m, s, rate0, floor, zeros,
     )
-    assert n_guarded == 3
+    assert n_guarded == (4 if every_rejected else 3)
     # the m step leaves S and its carried diag as they were, the kernel's
     # diag of S bit for bit
     for after, before in zip(s, s_before):

@@ -56,6 +56,8 @@ INIT_PSI_FLOOR = 0.05
 INIT_S_SCALE = 0.1
 # Reseeding attempts when a k-means start produces an empty cluster.
 KMEANS_RESEEDS = 10
+# Twice the rounding bound of both k-means distance forms (`_assign_labels`).
+KMEANS_SLACK = 8.0
 # Counts above this take the per-count constant in Stirling form.
 STIRLING_SWITCH = 2e5
 # Map calls of the stage-2 inner loop per outer iteration (`_sigma_step`).
@@ -157,9 +159,40 @@ class GridSearchResult:
 # ---------------------------------------------------------------------------
 
 
-def _assign_labels(x, centers):
-    d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(-1)
-    return d2.argmin(axis=1)
+def _assign_labels(x, centers, x_norm):
+    """The nearest center of every row of x (n, d), given the row norms
+    x_norm (n, 1): the first argmin of the direct squared distances.
+
+    Each center is scored |c|^2 - 2 x'c from one (n, d) x (d, G) product,
+    which is the squared distance less |x|^2.  Either form is within
+    (d + 2) u (|x| + max |c|)^2 of the exact distance, u = eps / 2, in
+    any summation order; so a row whose best score beats every other by
+    more than twice the sum, `KMEANS_SLACK` (d + 2) eps (|x| + max |c|)^2,
+    has the same nearest center under direct distances, and only the
+    other rows are re-decided by them.
+    """
+    sq = np.einsum("gd,gd->g", centers, centers)
+    score = x @ (-2.0 * centers.T)
+    score += sq
+    labels = score.argmin(axis=1)
+    slack = KMEANS_SLACK * (x.shape[1] + 2) * np.finfo(np.float64).eps
+    near = score <= np.take_along_axis(score, labels[:, None], 1) + slack * (
+        x_norm + np.sqrt(sq.max())) ** 2
+    if np.count_nonzero(near) > labels.size:  # some row has a close second
+        rows = np.count_nonzero(near, axis=1) > 1
+        d2 = ((x[rows][:, None, :] - centers[None, :, :]) ** 2).sum(-1)
+        labels[rows] = d2.argmin(axis=1)
+    return labels
+
+
+def _centers(x, labels, counts):
+    """Mean of the rows of x (n, d) under each label, (G, d).  `np.bincount`
+    adds each center's values in row order from zero, the sums that
+    `np.add.at` makes."""
+    g, d = counts.size, x.shape[1]
+    flat = (labels[:, None] * d + np.arange(d)).ravel()
+    sums = np.bincount(flat, weights=x.ravel(), minlength=g * d).reshape(g, d)
+    return sums / counts[:, None]
 
 
 def _kmeans(x, g, rng, n_starts, max_iter=200):
@@ -169,20 +202,19 @@ def _kmeans(x, g, rng, n_starts, max_iter=200):
     over `n_starts` seedings.  A seeding whose clusters empty out is
     redrawn up to `KMEANS_RESEEDS` times before failing.
     """
-    n, d = x.shape
+    n = x.shape[0]
+    x_norm = np.sqrt(np.einsum("nd,nd->n", x, x))[:, None]
     best_labels, best_wcss = None, np.inf
     for _ in range(n_starts):
         for _attempt in range(KMEANS_RESEEDS):
             centers = x[rng.choice(n, size=g, replace=False)]
-            labels = _assign_labels(x, centers)
+            labels = _assign_labels(x, centers, x_norm)
             for _it in range(max_iter):
                 counts = np.bincount(labels, minlength=g)
                 if np.any(counts == 0):
                     break
-                centers = np.zeros((g, d))
-                np.add.at(centers, labels, x)
-                centers /= counts[:, None]
-                new_labels = _assign_labels(x, centers)
+                centers = _centers(x, labels, counts)
+                new_labels = _assign_labels(x, centers, x_norm)
                 if np.array_equal(new_labels, labels):
                     break
                 labels = new_labels
@@ -206,35 +238,64 @@ def _eigen_loadings(w, k):
     return vecs * np.sqrt(vals)[None, :]
 
 
-def _init_params(x, labels, g, k, model_id):
-    """Cluster-wise eigen-initialization honouring the constraint pattern."""
+@dataclass(frozen=True)
+class _GStart:
+    """What every fit with G components starts from (`_g_start`).
+
+    labels (n,) are the k-means labels, counts (G,) and mu (G, d) the
+    cluster sizes and means, scatter_diag (G, d) the diagonal of each
+    cluster's scatter, and loadings (G, d, k_max) and pooled_loadings
+    (d, k_max) the top-k_max loadings (`_eigen_loadings`) of each
+    cluster's scatter and of their pooled scatter.  Loadings that no
+    pattern of the fit uses are None.  Loading j depends only on the
+    j-th eigenpair, so the first k columns are the top-k loadings.
+    """
+
+    labels: np.ndarray
+    counts: np.ndarray
+    mu: np.ndarray
+    scatter_diag: np.ndarray
+    loadings: object
+    pooled_loadings: object
+
+
+def _g_start(x, labels, g, k_max, models):
+    """The `_GStart` of the labels: one `eigh` per scatter the patterns
+    `models` use, and no d x d array kept."""
     n, d = x.shape
     counts = np.bincount(labels, minlength=g).astype(np.float64)
     if np.any(counts == 0):
         raise NumericalError("initialization received an empty cluster")
-    mu = np.zeros((g, d))
-    np.add.at(mu, labels, x)
-    mu /= counts[:, None]
+    mu = _centers(x, labels, counts)
     v = x - mu[labels]
     scatter = np.zeros((g, d, d))
     for j in range(g):
         vj = v[labels == j]
         scatter[j] = vj.T @ vj / counts[j]
-
-    if model_id.lambda_constrained:
-        pooled = np.einsum("g,gde->de", counts / n, scatter)
-        lam = np.broadcast_to(_eigen_loadings(pooled, k), (g, d, k)).copy()
-    else:
-        lam = np.stack([_eigen_loadings(scatter[j], k) for j in range(g)])
-
+    loadings = pooled = None
+    if not all(m.lambda_constrained for m in models):
+        loadings = np.stack([_eigen_loadings(w, k_max) for w in scatter])
+    if any(m.lambda_constrained for m in models):
+        pooled = _eigen_loadings(np.einsum("g,gde->de", counts / n, scatter), k_max)
     idx = np.arange(d)
-    psi_raw = scatter[:, idx, idx] - np.einsum("gdk,gdk->gd", lam, lam)
-    psi = stage2._psi_pattern(model_id, psi_raw, counts)
+    return _GStart(labels, counts, mu, scatter[:, idx, idx], loadings, pooled)
+
+
+def _init_params(x, start, g, k, model_id):
+    """Cluster-wise eigen-initialization honouring the constraint pattern,
+    from the top k loadings of the G's start (`_GStart`)."""
+    n, d = x.shape
+    if model_id.lambda_constrained:
+        lam = np.broadcast_to(start.pooled_loadings[:, :k], (g, d, k)).copy()
+    else:
+        lam = start.loadings[:, :, :k].copy()
+    psi_raw = start.scatter_diag - np.einsum("gdk,gdk->gd", lam, lam)
+    psi = stage2._psi_pattern(model_id, psi_raw, start.counts)
     psi = np.maximum(psi, INIT_PSI_FLOOR)
 
-    pi = counts / n
+    pi = start.counts / n
     pi = pi / pi.sum()
-    return pi, mu, lam, psi
+    return pi, start.mu.copy(), lam, psi
 
 
 def _prepare(data, factors):
@@ -263,9 +324,11 @@ def _check_ranges(data, g_range, k_range):
         raise InputError(f"K range {k_range} is outside [1, {data.d}]")
 
 
-def _start_labels(x, g, seed, n_starts):
-    """The k-means labels every fit with G components starts from."""
-    return _kmeans(x, g, np.random.default_rng([seed, g]), n_starts)
+def _start_of(x, g, seed, n_starts, k_max, models):
+    """The `_GStart` that every fit with G components starts from: the
+    k-means labels of the (seed, G) stream and the start built on them."""
+    labels = _kmeans(x, g, np.random.default_rng([seed, g]), n_starts)
+    return _g_start(x, labels, g, k_max, models)
 
 
 def initialize(data, factors, g, k, seed, n_starts=3, model_id=None):
@@ -284,45 +347,59 @@ def initialize(data, factors, g, k, seed, n_starts=3, model_id=None):
         model_id = ModelId.from_string("UUU")
     g, k = int(g), int(k)
     _check_ranges(data, (g, g), (k, k))
-    labels = _start_labels(x, g, seed, n_starts)
-    pi, mu, sigma, m, s, _, f = _start(y, logc, x, labels, g, k, model_id, pois_const)
+    start = _start_of(x, g, seed, n_starts, k, (model_id,))
+    pi, mu, sigma, m, s, _, f = _start(y, logc, x, start, g, k, model_id, pois_const)
     zhat = np.zeros((data.n, g))
-    zhat[np.arange(data.n), labels] = 1.0
+    zhat[np.arange(data.n), start.labels] = 1.0
     return _model_and_state(g, k, model_id, pi, mu, sigma, m, s, zhat, f)
 
 
-def _start(y, logc, x, labels, g, k, model_id, pois_const):
-    """Starting point of a fit from k-means labels.
+def _start(y, logc, x, start, g, k, model_id, pois_const):
+    """Starting point of a fit from its G's start (`_GStart`).
 
     Returns (pi, mu, sigma, m, s, caches, f): the eigen-initialized
     parameters with sigma's factors (`_sigma_from`), variational means at
     the transformed data, every S block INIT_S_SCALE * I (s_d at
     INIT_S_SCALE, s_w zero, in the layout of `stage1`), and the bound
-    pieces at that point.
+    pieces of `_make_caches` at that point.  There the rates and the
+    Poisson term depend on the row alone and tr(sigma^-1 S) on the
+    component alone, so each is computed once, by the same kernels, and
+    m, s and the pieces are read-only broadcasts over the other axis,
+    which the first S step only reads.
     """
     n, d = y.shape
-    pi, mu, lam, psi = _init_params(x, labels, g, k, model_id)
-    m = np.repeat(x[:, None, :], g, axis=1)
-    s = (np.full((n, g, d), INIT_S_SCALE), np.zeros((n, g, k, d)))
-    s = (*s, stage1._s_diag(s))
-    logdet_s = np.full((n, g), d * np.log(INIT_S_SCALE))  # log|INIT_S_SCALE * I|
+    pi, mu, lam, psi = _init_params(x, start, g, k, model_id)
     sigma = _sigma_from(lam, psi)
-    caches = _make_caches(y, logc, x, m, s, mu, sigma, logdet_s, pois_const)
+    m = np.broadcast_to(x[:, None, :], (n, g, d))
+    s_d = np.broadcast_to(INIT_S_SCALE, (n, g, d))
+    s = (s_d, np.broadcast_to(0.0, (n, g, k, d)), s_d)
+    rate, pois, clamps = stage1._poisson_batch((y, logc, x), m[:, :1], s_d[:, :1])
+    caches = {
+        "rate": np.broadcast_to(rate, m.shape),
+        "pois": np.broadcast_to(pois, (n, g)),
+        "quad": stage1._quad_batch(m, mu, sigma),
+        "trs": np.broadcast_to(stage1._trace_batch(sigma, tuple(a[:1] for a in s)), (n, g)),
+        "logdet_s": np.broadcast_to(d * np.log(INIT_S_SCALE), (n, g)),  # log|INIT_S_SCALE * I|
+        "pois_const": pois_const,
+        "clamps": clamps * g,
+    }
     f = _assemble_f(caches, sigma[3], d)
     return pi, mu, sigma, m, s, caches, f
 
 
 def _model_and_state(g, k, model_id, pi, mu, sigma, m, s, zhat, f):
     """The fitted model and the variational state, with the factor
-    posterior (p, q) at sigma's (lam, psi).  The state's s_w (n, G, d, K)
-    is made C-contiguous here, so that its dense S is the same product
-    whether the fit was built in this process or unpickled."""
+    posterior (p, q) at sigma's (lam, psi).  The state's m, s_d and s_w
+    (n, G, d, K) are made C-contiguous here: a start's broadcasts become
+    arrays, and the dense S is the same product whether the fit was
+    built in this process or unpickled."""
     lam, psi, beta, _ = sigma
     p = np.einsum("gkd,ngd->ngk", beta, m - mu[None])
     q = stage2._q_from(lam, psi)
     model = MixtureModel.from_arrays(g, k, model_id, pi, mu, lam, psi)
     s_w = np.ascontiguousarray(np.swapaxes(s[1], -1, -2))
-    return model, VariationalState(m=m, s_d=s[0], s_w=s_w, p=p, q=q, zhat=zhat, f=f)
+    return model, VariationalState(m=np.ascontiguousarray(m), s_d=np.ascontiguousarray(s[0]),
+                                   s_w=s_w, p=p, q=q, zhat=zhat, f=f)
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +449,9 @@ def _sigma_from(lam, psi):
 
 
 def _make_caches(y, logc, x, m, s, mu, sigma, logdet_s, pois_const):
-    """Bound pieces reused across steps within an outer iteration.
+    """Bound pieces reused across steps within an outer iteration, at any
+    (m, s); `_start` builds the same pieces at its (m, s) from their row
+    and component parts.
 
     logdet_s (n, G) is log|S| of every block, known without factorizing S;
     pois_const (n,) is what the term of `stage1._poisson_batch` leaves out
@@ -444,11 +523,11 @@ def _sigma_step(model_id, a_bar, n_g, sigma):
     return _sigma_from(lam, psi), info
 
 
-def _run_em(y, logc, x, labels, g, k, model_id, config, pois_const):
-    """Alternate the two stages from a label-based start to convergence;
-    pois_const is the per-row constant of `_prepare`."""
+def _run_em(y, logc, x, start, g, k, model_id, config, pois_const):
+    """Alternate the two stages to convergence from the G's start
+    (`_GStart`); pois_const is the per-row constant of `_prepare`."""
     n, d = y.shape
-    pi, mu, sigma, m, s, caches, f = _start(y, logc, x, labels, g, k, model_id, pois_const)
+    pi, mu, sigma, m, s, caches, f = _start(y, logc, x, start, g, k, model_id, pois_const)
     zhat, bound = stage1._e_step(f, pi)
     trace = [bound]
 
@@ -536,16 +615,16 @@ def _run_em(y, logc, x, labels, g, k, model_id, config, pois_const):
 def fit_single(data, factors, g, k, model_id, config):
     """Fit one (G, K, model) triple.
 
-    Starts from the (config.seed, G) k-means labels, so the result is
-    bitwise the grid-search cell of the same triple.
+    Starts from the (config.seed, G) start, so the result is bitwise the
+    grid-search cell of the same triple.
     """
     y, logc, x, pois_const = _prepare(data, factors)
     g, k = int(g), int(k)
     if not isinstance(model_id, ModelId):
         raise InputError("model_id must be a ModelId")
     _check_ranges(data, (g, g), (k, k))
-    labels = _start_labels(x, g, config.seed, config.n_starts)
-    return _run_em(y, logc, x, labels, g, k, model_id, config, pois_const)
+    start = _start_of(x, g, config.seed, config.n_starts, k, (model_id,))
+    return _run_em(y, logc, x, start, g, k, model_id, config, pois_const)
 
 
 # ---------------------------------------------------------------------------
@@ -607,6 +686,14 @@ def _load_fit(path):
         return pickle.load(fh)
 
 
+def _error_text(exc):
+    """A failed triple's error: the message of a numerical failure, any
+    other exception's prefixed by its class name."""
+    if isinstance(exc, (NumericalError, np.linalg.LinAlgError)):
+        return str(exc)
+    return f"{type(exc).__name__}: {exc}"
+
+
 def grid_search(data, factors, config, threads=None):
     """Fit every (G, K, model) triple and select by BIC.
 
@@ -614,10 +701,12 @@ def grid_search(data, factors, config, threads=None):
     the result.  Workers spool their fits to a temporary directory
     (`tempfile`'s default location, which honours TMPDIR) that is removed
     before the call returns or raises; only the selected fit is read back
-    from it.  Failed or degenerate triples, including every triple of a G
-    whose k-means start fails, are recorded in the summaries and
-    excluded from selection; `NumericalError` is raised only when no
-    triple is left to select.  The returned entries follow the triple
+    from it.  Every G's start (`_start_of`) is built once, before the
+    workers fork.  A triple whose fit raises an `Exception`, or whose G's
+    start does, is recorded in the summaries with its error
+    (`_error_text`) and excluded from selection, as is a degenerate one;
+    `NumericalError` is raised only when no triple is left to select, and
+    names the first failed triple.  The returned entries follow the triple
     order sorted by (G, K, model position); the selected fit is the
     BIC argmin with ties broken by that order, independent of worker
     scheduling.
@@ -630,13 +719,14 @@ def grid_search(data, factors, config, threads=None):
     k_lo, k_hi = config.k_range
     threads = _resolve_threads(threads)
 
-    # A G whose k-means start fails is recorded against each of its triples.
-    labels_by_g, start_errors = {}, {}
+    # One start per G, which forked workers inherit; a G whose start
+    # fails is recorded against each of its triples.
+    starts, start_errors = {}, {}
     for g in range(g_lo, g_hi + 1):
         try:
-            labels_by_g[g] = _start_labels(x, g, config.seed, config.n_starts)
-        except NumericalError as exc:
-            start_errors[g] = str(exc)
+            starts[g] = _start_of(x, g, config.seed, config.n_starts, k_hi, config.models)
+        except Exception as exc:
+            start_errors[g] = _error_text(exc)
     triples = [
         (g, k, model)
         for g in range(g_lo, g_hi + 1)
@@ -650,12 +740,12 @@ def grid_search(data, factors, config, threads=None):
         try:
             if g in start_errors:
                 raise NumericalError(start_errors[g])
-            fit = _run_em(y, logc, x, labels_by_g[g], g, k, model, config, pois_const)
-        except (NumericalError, np.linalg.LinAlgError) as exc:
+            fit = _run_em(y, logc, x, starts[g], g, k, model, config, pois_const)
+        except Exception as exc:  # not BaseException: Ctrl-C still ends the grid
             return GridEntry(
                 g=g, k=k, model_id=model, bic=np.nan, icl=np.nan, loglik=np.nan,
                 free_params=0, converged=False, degenerate=False, n_iter=0,
-                error=str(exc), elbo_trace=(),
+                error=_error_text(exc), elbo_trace=(),
             ), None
         return GridEntry(
             g=g, k=k, model_id=model, bic=fit.bic, icl=fit.icl,
@@ -695,7 +785,10 @@ def grid_search(data, factors, config, threads=None):
 
     entries = tuple(results)
     if best_fit is None:
-        raise NumericalError("every grid triple failed or degenerated; nothing to select")
+        first = next((e for e in entries if e.error), entries[0])
+        raise NumericalError(
+            "every grid triple failed or degenerated; nothing to select; first failure at "
+            f"(G={first.g}, K={first.k}, {first.model_id}): {first.error or 'degenerate'}")
     eligible = [
         (e.icl, i, e)
         for i, e in enumerate(entries)

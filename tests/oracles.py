@@ -186,3 +186,72 @@ def factor_form(a):
     lo = 0.5 * np.linalg.eigvalsh(a)[..., :1]
     d = a.shape[-1]
     return np.repeat(lo, d, axis=-1), np.linalg.cholesky(a - lo[..., None] * np.eye(d))
+
+
+def kmeans_labels(x, g, rng, n_starts, reseeds=10, max_iter=200):
+    """Lloyd's k-means as it was first written: each step takes every
+    squared distance directly from the (n, G, d) differences and sums the
+    centers with `np.add.at`.  Keeps the labels of the lowest
+    within-cluster sum of squares over `n_starts` seedings of G data
+    points; raises RuntimeError when `reseeds` seedings in a row empty
+    a cluster."""
+    n, d = x.shape
+    best_labels, best_wcss = None, np.inf
+    for _ in range(n_starts):
+        for _attempt in range(reseeds):
+            centers = x[rng.choice(n, size=g, replace=False)]
+            labels = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(-1).argmin(axis=1)
+            for _it in range(max_iter):
+                counts = np.bincount(labels, minlength=g)
+                if np.any(counts == 0):
+                    break
+                centers = np.zeros((g, d))
+                np.add.at(centers, labels, x)
+                centers /= counts[:, None]
+                new_labels = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(-1).argmin(axis=1)
+                if np.array_equal(new_labels, labels):
+                    break
+                labels = new_labels
+            if counts.all():
+                break
+        else:
+            raise RuntimeError("k-means emptied a cluster in every seeding")
+        wcss = ((x - centers[labels]) ** 2).sum()
+        if wcss < best_wcss:
+            best_wcss, best_labels = wcss, labels
+    return best_labels
+
+
+def eigen_start(x, labels, g, k, model_id, psi_pattern, psi_floor):
+    """Initial (pi, mu, lam, psi) from the k-means labels with one `eigh`
+    per scatter and per K: lam holds the top-k eigenvectors of each
+    cluster's scatter, or of the pooled scatter when the pattern shares
+    the loadings, scaled by the root of their eigenvalues; psi is the
+    rest of each scatter's diagonal under the pattern (`psi_pattern`),
+    floored at psi_floor."""
+    n, d = x.shape
+    counts = np.bincount(labels, minlength=g).astype(np.float64)
+    mu = np.zeros((g, d))
+    np.add.at(mu, labels, x)
+    mu /= counts[:, None]
+    v = x - mu[labels]
+    scatter = np.zeros((g, d, d))
+    for j in range(g):
+        vj = v[labels == j]
+        scatter[j] = vj.T @ vj / counts[j]
+
+    def top(w):
+        vals, vecs = np.linalg.eigh(0.5 * (w + w.T))
+        vals = np.clip(vals[::-1][:k], 0.0, None)
+        return vecs[:, ::-1][:, :k] * np.sqrt(vals)[None, :]
+
+    if model_id.lambda_constrained:
+        pooled = np.einsum("g,gde->de", counts / n, scatter)
+        lam = np.broadcast_to(top(pooled), (g, d, k)).copy()
+    else:
+        lam = np.stack([top(scatter[j]) for j in range(g)])
+    idx = np.arange(d)
+    psi_raw = scatter[:, idx, idx] - np.einsum("gdk,gdk->gd", lam, lam)
+    psi = np.maximum(psi_pattern(model_id, psi_raw, counts), psi_floor)
+    pi = counts / n
+    return pi / pi.sum(), mu, lam, psi

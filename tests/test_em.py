@@ -14,14 +14,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
-from mplnfa import em, simulate, stage1, stage2
+from mplnfa import em, io, simulate, stage1, stage2
+from mplnfa.cli import main
 from mplnfa.core import ALL_MODELS, InputError, MixtureModel, ModelId, NumericalError
 from mplnfa.em import FitConfig, bic, fit_single, grid_search, icl, initialize
 from mplnfa.evaluate import ari
 from mplnfa.io import NormalizationFactors
 
 from conftest import loop_s, make_counts, unit_factors
-from oracles import dense_s, sigma_bound_part
+from oracles import dense_s, eigen_start, kmeans_labels, sigma_bound_part
 
 
 # ---------------------------------------------------------------------------
@@ -156,15 +157,68 @@ def test_initialize_respects_constraint_pattern(rng):
     assert np.all(a.psi == a.psi[0])
 
 
+def _kmeans_case(kind, seed):
+    """(x, G) of one k-means case: real data, ties (log1p of counts 0-2),
+    identical rows, G = 1 or G = n."""
+    r = np.random.default_rng(seed)
+    n, d = int(r.integers(2, 60)), int(r.integers(1, 7))
+    g = int(r.integers(1, min(n, 5) + 1))
+    if kind == "ties":
+        return np.log1p(r.integers(0, 3, (n, d)).astype(np.float64)), g
+    if kind == "identical":
+        return np.tile(r.normal(size=(1, d)), (n, 1)), g
+    x = r.normal(size=(n, d)) * 10.0 ** r.uniform(-3.0, 3.0, d)
+    return x, {"real": g, "one": 1, "all": n}[kind]
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["real", "ties", "identical", "one", "all"]),
+       seed=st.integers(0, 2**32 - 1))
+@example(kind="real", seed=0)
+@example(kind="ties", seed=0)
+@example(kind="identical", seed=0)
+@example(kind="one", seed=0)
+@example(kind="all", seed=0)
+def test_kmeans_labels_match_the_direct_distance_loop(kind, seed):
+    # the scores from one product per step must pick, bit for bit, the
+    # labels of direct squared distances, ties and near ties included
+    x, g = _kmeans_case(kind, seed)
+
+    def outcome(fn, error):
+        try:
+            return fn(x, g, np.random.default_rng(seed), 3).tolist()
+        except error:
+            return "emptied"
+
+    assert outcome(em._kmeans, NumericalError) == outcome(kmeans_labels, RuntimeError)
+
+
+@pytest.mark.parametrize("d", [1, 3, 6])
+def test_sliced_start_matches_a_per_k_eigen_start(rng, d):
+    # one eigh per scatter at k_max = d, sliced to K, is the start of one
+    # eigh per K, bit for bit, for every pattern
+    n, g = 40, 3
+    x = rng.normal(size=(n, d)) * rng.uniform(0.5, 2.0, d)
+    labels = em._kmeans(x, g, np.random.default_rng(d), 3)
+    start = em._g_start(x, labels, g, d, ALL_MODELS)
+    for k in range(1, d + 1):
+        for model in ALL_MODELS:
+            got = em._init_params(x, start, g, k, model)
+            want = eigen_start(x, labels, g, k, model, stage2._psi_pattern, em.INIT_PSI_FLOOR)
+            for name, a, b in zip(("pi", "mu", "lam", "psi"), got, want):
+                assert np.array_equal(a, b), (k, str(model), name)
+
+
 @pytest.mark.parametrize("d", [1, 4, 40])
 def test_start_log_det_s_is_the_dense_log_det(rng, d):
     # the starting blocks are INIT_S_SCALE * I, whose log-determinant the
     # start writes down without factorizing them
     n, g = 30, 2
     y = rng.poisson(5.0, (n, d)).astype(np.float64)
-    labels = np.arange(n) % g
-    *_, s, caches, _ = em._start(y, np.zeros(n), np.log1p(y), labels, g, 1,
-                                 ModelId.from_string("UUU"), em._count_constant(y).sum(1))
+    uuu = ModelId.from_string("UUU")
+    start = em._g_start(np.log1p(y), np.arange(n) % g, g, 1, (uuu,))
+    *_, s, caches, _ = em._start(y, np.zeros(n), np.log1p(y), start, g, 1,
+                                 uuu, em._count_constant(y).sum(1))
     np.testing.assert_allclose(caches["logdet_s"], np.linalg.slogdet(dense_s(s))[1],
                                rtol=1e-12, atol=0)
 
@@ -506,6 +560,53 @@ def test_grid_search_raises_when_everything_fails(rng, monkeypatch):
                         models=(ModelId.from_string("UUU"),))
     with pytest.raises(NumericalError):
         grid_search(data, factors, cfg, threads=1)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_grid_search_keeps_an_unexpected_exception_with_its_triple(rng, monkeypatch, threads):
+    # Any Exception from one triple is recorded against it with its class
+    # name; the grid completes and selects among the other triples.
+    data, factors, _ = _grid_data(rng)
+    cfg = _quick_config(g_range=(1, 2), k_range=(1, 2),
+                        models=(ModelId.from_string("UUU"), ModelId.from_string("CCC")))
+    clean = grid_search(data, factors, cfg, threads=1)
+    target = (clean.best.g, clean.best.k, clean.best.model_id)
+    real_run = em._run_em
+
+    def flaky(y, logc, x, start, g, k, model_id, config, pois_const):
+        if (g, k, model_id) == target:
+            raise ValueError("synthetic bug")
+        return real_run(y, logc, x, start, g, k, model_id, config, pois_const)
+
+    monkeypatch.setattr(em, "_run_em", flaky)
+    grid = grid_search(data, factors, cfg, threads=threads)
+    rest = []
+    for e, c in zip(grid.entries, clean.entries):
+        if (e.g, e.k, e.model_id) == target:
+            assert e.error == "ValueError: synthetic bug"
+            assert not np.isfinite(e.bic)
+        else:
+            assert repr(e) == repr(c)
+            if not c.degenerate and c.error == "":
+                rest.append((c.bic, c.g, c.k, c.model_id))
+    assert (grid.best.bic, grid.best.g, grid.best.k, grid.best.model_id) == min(
+        rest, key=lambda r: r[0])
+
+
+def test_fit_of_huge_poisson_counts_fails_as_degenerate(tmp_path, capsys):
+    # Plain Poisson draws with mean counts near 6.6e12 leave no latent
+    # variance: every triple's error variance degenerates, and the fit
+    # exits 2 naming the first failed triple.
+    path = tmp_path / "huge.csv"
+    io.write_counts(str(path), make_counts(_degenerate_counts("huge", 0)))
+    with pytest.raises(SystemExit) as exc:
+        main(["fit", "--input", str(path), "--gmin", "1", "--gmax", "2", "--kmin", "1",
+              "--kmax", "1", "--models", "UUU,CCC", "--threads", "1",
+              "--out-dir", str(tmp_path / "fit")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "nothing to select" in err
+    assert "(G=1, K=1, UUU): degenerate error variance" in err
 
 
 def test_grid_search_records_a_rejected_fitted_state_against_its_triple(rng, monkeypatch):

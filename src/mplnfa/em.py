@@ -17,6 +17,8 @@ configuration, so results are identical for any worker count.
 import contextlib
 import os
 import pickle
+import select
+import signal
 import tempfile
 import threading
 from dataclasses import dataclass
@@ -645,45 +647,138 @@ def _resolve_threads(threads):
 
 
 def _pool_size(workers, count):
-    """Forked worker processes that `grid_search` runs its `count` triples
-    on: none (a plain loop in the calling thread) when one worker would do,
-    when the process has other Python threads (forking them is unsafe), or
-    where the platform cannot fork."""
+    """Worker processes that `grid_search` forks for its `count` triples
+    (`_fork_workers`): none (a plain loop in the calling thread) when one
+    worker would do, when the process has other Python threads (forking
+    them is unsafe), or where the platform cannot fork."""
     workers = min(workers, count)
     if workers < 2 or threading.active_count() > 1 or not hasattr(os, "fork"):
         return 0
     return workers
 
 
-# The triple function of a pool worker process, set there by `_set_task`.
-_task = None
-
-
-def _set_task(task):
-    global _task
-    _task = task
-
-
-def _run_task(i):
-    return _task(i)
+def _claim(spool, i):
+    """Whether this process claims triple i: it does when it is the first
+    to create the triple's entry file in the directory `spool`."""
+    try:
+        os.close(os.open(os.path.join(spool, f"{i}.entry"),
+                         os.O_WRONLY | os.O_CREAT | os.O_EXCL))
+    except FileExistsError:
+        return False
+    return True
 
 
 def _spool_fit(spool, i, entry, fit):
-    """(entry, path) of triple i, its fit pickled to a file in the directory
-    `spool`: a pool worker's result, so that only the entry and the path
-    cross the result pipe."""
-    if fit is None:
-        return entry, None
-    path = os.path.join(spool, f"{i}.pickle")
-    with open(path, "wb") as fh:
-        pickle.dump(fit, fh, protocol=pickle.HIGHEST_PROTOCOL)
-    return entry, path
+    """Spool triple i's result in the directory `spool`: its fit, unless
+    None, pickled to `<i>.pickle`, then its entry and that path (None
+    without a fit) to the entry file that claimed it (`_claim`)."""
+    path = None
+    if fit is not None:
+        path = os.path.join(spool, f"{i}.pickle")
+        with open(path, "wb") as fh:
+            pickle.dump(fit, fh, protocol=pickle.HIGHEST_PROTOCOL)
+    with open(os.path.join(spool, f"{i}.entry"), "wb") as fh:
+        pickle.dump((entry, path), fh, protocol=pickle.HIGHEST_PROTOCOL)
+
+
+def _spooled_entry(spool, i):
+    """The (entry, fit path) that `_spool_fit` wrote for triple i."""
+    with open(os.path.join(spool, f"{i}.entry"), "rb") as fh:
+        return pickle.load(fh)
 
 
 def _load_fit(path):
     """The fit that `_spool_fit` wrote to `path`."""
     with open(path, "rb") as fh:
         return pickle.load(fh)
+
+
+def _work(one, count, spool, parent, status_fd):
+    """A forked worker's whole life: claim triples in grid order and spool
+    each one's result `one(i)`, until none is left or the process that
+    forked it (pid `parent`) is gone, then leave through `os._exit`.  An
+    exception that ends it is written to `status_fd` first.  It ignores
+    SIGINT, which the parent blocked across the fork: Ctrl-C is the
+    parent's to handle."""
+    code = 1
+    try:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
+        for i in range(count):
+            if os.getppid() != parent:
+                break
+            if _claim(spool, i):
+                _spool_fit(spool, i, *one(i))
+        code = 0
+    except BaseException as exc:
+        # One write of at most PIPE_BUF bytes to an empty pipe never blocks.
+        os.write(status_fd, _error_text(exc).encode()[:select.PIPE_BUF])
+    finally:
+        os._exit(code)
+
+
+def _exit_text(pid, status, said):
+    """How worker `pid` ended, from its wait status and what it wrote."""
+    code = os.waitstatus_to_exitcode(status)
+    if code >= 0:
+        how = f"exited with status {code}"
+    else:
+        try:
+            how = f"was killed by {signal.Signals(-code).name}"
+        except ValueError:
+            how = f"was killed by signal {-code}"
+    return f"grid worker process {pid} {how}" + (f": {said}" if said else "")
+
+
+def _fork_workers(one, count, spool, workers):
+    """Run triples 0 … count−1 on `workers` forked children (`_work`) that
+    spool their results in the directory `spool`; return once every child
+    has exited.
+
+    Each child holds the write end of its own pipe, so the pipe's EOF marks
+    its exit and `poll` wakes the parent at once, without a timeout; the
+    parent then reaps that pid alone (never `waitpid(-1)`, which could reap
+    a caller's own subprocesses).  A child that exits nonzero or by a
+    signal raises RuntimeError naming its status or signal.  On that or any
+    other exception, Ctrl-C included, every child still running is killed
+    and reaped before the exception propagates."""
+    parent = os.getpid()
+    live = {}  # read end of a child's pipe -> the child's pid
+    ends = select.poll()
+    try:
+        # A Ctrl-C during the forks waits until the new child ignores SIGINT
+        # and is then the parent's alone.
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        try:
+            for _ in range(workers):
+                r, w = os.pipe()
+                try:
+                    pid = os.fork()
+                except BaseException:
+                    os.close(r)
+                    os.close(w)
+                    raise
+                if pid == 0:
+                    _work(one, count, spool, parent, w)
+                os.close(w)
+                live[r] = pid
+                ends.register(r, select.POLLIN)
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        while live:
+            for r, _ in ends.poll():
+                said = os.read(r, select.PIPE_BUF).decode(errors="replace")
+                ends.unregister(r)
+                os.close(r)
+                pid = live.pop(r)
+                status = os.waitpid(pid, 0)[1]
+                if status:
+                    raise RuntimeError(_exit_text(pid, status, said))
+    finally:
+        for r, pid in live.items():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(r)
 
 
 def _error_text(exc):
@@ -698,18 +793,22 @@ def grid_search(data, factors, config, threads=None):
     """Fit every (G, K, model) triple and select by BIC.
 
     `threads` caps the worker processes (`_pool_size`); it never changes
-    the result.  Workers spool their fits to a temporary directory
-    (`tempfile`'s default location, which honours TMPDIR) that is removed
-    before the call returns or raises; only the selected fit is read back
-    from it.  Every G's start (`_start_of`) is built once, before the
-    workers fork.  A triple whose fit raises an `Exception`, or whose G's
-    start does, is recorded in the summaries with its error
-    (`_error_text`) and excluded from selection, as is a degenerate one;
-    `NumericalError` is raised only when no triple is left to select, and
-    names the first failed triple.  The returned entries follow the triple
-    order sorted by (G, K, model position); the selected fit is the
-    BIC argmin with ties broken by that order, independent of worker
-    scheduling.
+    the result.  Every G's start (`_start_of`) is built once, before the
+    workers fork (`_fork_workers`).  Each worker claims the next unclaimed
+    triple itself and spools its entry and fit to a temporary directory
+    (`tempfile`'s default location, which honours TMPDIR).  The calling
+    process starts no thread; it waits for its workers to exit, reads the
+    entries back in grid order and unpickles only the selected fit.  A
+    worker that dies raises RuntimeError; on that, Ctrl-C or any other
+    exception the workers are killed and reaped, and the directory is
+    removed before the call returns or raises.  A triple whose fit raises
+    an `Exception`, or whose G's start does, is recorded in the summaries
+    with its error (`_error_text`) and excluded from selection, as is a
+    degenerate one; `NumericalError` is raised only when no triple is left
+    to select, and names the first failed triple.  The returned entries
+    follow the triple order sorted by (G, K, model position); the selected
+    fit is the BIC argmin with ties broken by that order, independent of
+    worker scheduling.
     """
     y, logc, x, pois_const = _prepare(data, factors)
     if not isinstance(config, FitConfig):
@@ -755,24 +854,17 @@ def grid_search(data, factors, config, threads=None):
         ), fit
 
     # Entries are taken in triple order and only the best fit is kept.
-    # Forked workers inherit `_one`, with the data it closes over, so only
-    # indices and (entry, spool path) pairs are pickled; pooled fits wait
-    # in the spool and only the selected one is read back.  The stack shuts
-    # the pool down before it removes the spool.
+    # Forked workers inherit `_one`, with the data it closes over, and spool
+    # every result; only the selected fit is read back.  The children have
+    # all exited before the spool is removed.
     workers = _pool_size(threads, len(triples))
     results = [None] * len(triples)
     best_key, best_fit = (np.inf, 0), None
-    with contextlib.ExitStack() as stack:
+    with (tempfile.TemporaryDirectory(prefix="mplnfa-") if workers
+          else contextlib.nullcontext()) as spool:
         if workers:
-            # Loaded only here: a process that runs no pool does not pay for it.
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-
-            spool = stack.enter_context(tempfile.TemporaryDirectory(prefix="mplnfa-"))
-            pool = stack.enter_context(ProcessPoolExecutor(
-                workers, mp_context=multiprocessing.get_context("fork"),
-                initializer=_set_task, initargs=(lambda i: _spool_fit(spool, i, *_one(i)),)))
-            done = pool.map(_run_task, range(len(triples)))
+            _fork_workers(_one, len(triples), spool, workers)
+            done = (_spooled_entry(spool, i) for i in range(len(triples)))
         else:
             done = map(_one, range(len(triples)))
         for i, (entry, fit) in enumerate(done):

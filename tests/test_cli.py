@@ -4,7 +4,11 @@ import json
 import os
 import shutil
 import signal
+import subprocess
+import sys
 import tempfile
+import time
+from pathlib import Path
 
 import pytest
 
@@ -397,3 +401,59 @@ def test_fit_whose_worker_process_dies_exits_two_without_hanging(tmp_path, capsy
     assert "failure:" in capsys.readouterr().err
     assert seen.read_text(encoding="utf-8").startswith("mplnfa-")
     assert list(temp.iterdir()) == []
+
+
+def _running(pid):
+    """Whether process `pid` exists and has not exited (a zombie has)."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="utf-8") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states from /proc")
+def test_fit_killed_outright_leaves_no_worker_running(tmp_path):
+    # Workers check before each claim that the process that forked them is
+    # still there, so a `mplnfa fit` killed outright stops its workers after
+    # their current triple, not after the rest of the grid (80 triples of
+    # 0.25 s each on two workers).
+    sim = tmp_path / "sim"
+    assert simulate_small(sim, replicates=1) == 0
+    pids = tmp_path / "worker_pids.txt"
+    temp = tmp_path / "temp"
+    temp.mkdir()
+    code = (
+        "import os, sys, time\n"
+        "from mplnfa import cli, em\n"
+        "def recorded(*args):\n"
+        f"    with open({str(pids)!r}, 'a', encoding='utf-8') as fh:\n"
+        "        fh.write(f'{os.getpid()}\\n')\n"
+        "    time.sleep(0.25)\n"
+        "    raise em.NumericalError('synthetic failure')\n"
+        "em._run_em = recorded\n"
+        "cli.main(sys.argv[1:])\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(em.__file__).parents[1]), TMPDIR=str(temp))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", code, "fit", "--input", str(sim / "counts_r000.csv"),
+         "--gmax", "5", "--kmax", "2", "--threads", "2", "--out-dir", str(tmp_path / "fit")],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 60
+        workers = set()
+        while len(workers) < 2 and time.monotonic() < deadline and proc.poll() is None:
+            time.sleep(0.05)
+            if pids.exists():
+                workers = set(pids.read_text(encoding="utf-8").split())
+        assert len(workers) == 2
+    finally:
+        proc.kill()
+        proc.wait()
+    deadline = time.monotonic() + 3
+    while any(_running(int(pid)) for pid in workers) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    left = [pid for pid in workers if _running(int(pid))]
+    for pid in left:
+        os.kill(int(pid), signal.SIGKILL)
+    assert left == []

@@ -298,10 +298,22 @@ def test_core_simulate_and_io_import_without_scipy_or_click():
 
 def test_cli_em_and_evaluate_import_without_scipy_optimize():
     # Only `evaluate`'s component matching uses scipy.optimize and imports it
-    # when called, so `fit` and `simulate` processes never load it.
+    # when called, so `fit` and `simulate` processes never load it.  A pooled
+    # grid forks its workers itself, so it loads no executor: neither
+    # `concurrent.futures.process` nor `multiprocessing`.  (scipy.special
+    # loads `concurrent.futures` itself, through numpy.testing.)
     code = ("import sys, mplnfa.cli, mplnfa.em, mplnfa.evaluate\n"
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))\n")
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))\n"
+            "from mplnfa.core import CountMatrix, NormalizationFactors\n"
+            "y = [[i % 7 + 1, i % 5, 2 * (i % 3)] for i in range(40)]\n"
+            "data = CountMatrix(values=y, sample_ids=tuple(f's{i}' for i in range(40)),\n"
+            "                   var_ids=('a', 'b', 'c'))\n"
+            "config = mplnfa.em.FitConfig(g_range=(1, 2), k_range=(1, 1), max_outer=3)\n"
+            "grid = mplnfa.em.grid_search(data, NormalizationFactors.ones(40), config, threads=2)\n"
+            "print(len(grid.entries))\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.startswith(('concurrent.futures.process', 'multiprocessing'))))\n")
     env = dict(os.environ, PYTHONPATH=str(Path(mplnfa.core.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout.split("\n")
-    assert out[0] == "[]"
+    assert out[:3] == ["[]", "16", "[]"]

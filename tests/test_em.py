@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import signal
 import tempfile
 import threading
 import time
@@ -827,6 +828,98 @@ def test_grid_search_reads_back_only_the_selected_fit_and_removes_its_spool(
         assert grid.best.g == 1
     else:
         assert errors == [""] * 4
+
+
+@pytest.mark.parametrize("death, message", [
+    ("signal", "was killed by SIGKILL$"),
+    ("exception", "exited with status 1: SystemExit: gave up$"),
+], ids=["signal", "exception"])
+def test_grid_search_whose_worker_dies_says_how_and_reaps_only_its_own(
+        rng, monkeypatch, tmp_path, death, message):
+    # A worker killed by a signal, or ended by an exception that is not a
+    # fit's failure, fails the call with a message that says how; the other
+    # worker is killed and reaped, and the spool is removed.  A child the
+    # caller forked itself is left for it to reap.
+    data, factors, _ = _grid_data(rng)
+    cfg = _quick_config(g_range=(1, 2), k_range=(1, 1),
+                        models=(ModelId.from_string("UUU"), ModelId.from_string("CCC")))
+    test_pid = os.getpid()
+    real_run = em._run_em
+
+    def dies_at_two(*args):
+        if args[4] == 2 and os.getpid() != test_pid:  # g, in a worker
+            if death == "signal":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise SystemExit("gave up")
+        return real_run(*args)
+
+    monkeypatch.setattr(em, "_run_em", dies_at_two)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    own = os.fork()
+    if own == 0:
+        os._exit(7)
+    with pytest.raises(RuntimeError, match=message):
+        grid_search(data, factors, cfg, threads=2)
+    assert os.waitstatus_to_exitcode(os.waitpid(own, 0)[1]) == 7
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert list(tmp_path.glob("mplnfa-*")) == []
+
+
+def test_grid_search_interrupted_kills_its_workers_and_removes_its_spool(
+        rng, monkeypatch, tmp_path):
+    # Ctrl-C is the calling process's: the interrupt propagates, and no
+    # worker process or spool directory is left behind.
+    data, factors, _ = _grid_data(rng)
+    cfg = _quick_config(g_range=(1, 2), k_range=(1, 1),
+                        models=(ModelId.from_string("UUU"), ModelId.from_string("CCC")))
+    test_pid = os.getpid()
+    started = tmp_path / "started.txt"
+
+    def sleeping(*args):
+        if os.getpid() != test_pid:
+            with open(started, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()}\n")
+            time.sleep(60)
+        raise NumericalError("not in a worker")
+
+    def interrupt(signum, frame):
+        # Ctrl-C, once both workers sleep in a fit
+        if started.exists() and len(started.read_text(encoding="utf-8").split()) == 2:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            raise KeyboardInterrupt
+
+    temp = tmp_path / "temp"
+    temp.mkdir()
+    monkeypatch.setattr(em, "_run_em", sleeping)
+    monkeypatch.setattr(tempfile, "tempdir", str(temp))
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    signal.setitimer(signal.ITIMER_REAL, 0.1, 0.1)
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            grid_search(data, factors, cfg, threads=2)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert len(started.read_text(encoding="utf-8").split()) == 2
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert list(temp.iterdir()) == []
+
+
+def test_pooled_grid_search_starts_no_thread(rng, monkeypatch):
+    data, factors, _ = _grid_data(rng)
+    cfg = _quick_config(g_range=(1, 2), k_range=(1, 1),
+                        models=(ModelId.from_string("UUU"), ModelId.from_string("CCC")))
+    expected = grid_search(data, factors, cfg, threads=1)
+
+    def no_thread(self):
+        raise AssertionError("grid_search started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    assert em._pool_size(2, len(expected.entries)) == 2
+    grid = grid_search(data, factors, cfg, threads=2)
+    assert repr(grid.entries) == repr(expected.entries)
 
 
 def test_resolve_threads_counts_only_the_cpus_this_process_may_run_on(monkeypatch):

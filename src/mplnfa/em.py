@@ -658,57 +658,58 @@ def _pool_size(workers, count):
 
 
 def _claim(spool, i):
-    """Whether this process claims triple i: it does when it is the first
-    to create the triple's entry file in the directory `spool`."""
-    try:
-        os.close(os.open(os.path.join(spool, f"{i}.entry"),
-                         os.O_WRONLY | os.O_CREAT | os.O_EXCL))
-    except FileExistsError:
-        return False
-    return True
+    """Triple i's entry file in the directory `spool`, opened for writing,
+    when this process is the first to create it; else None."""
+    with contextlib.suppress(FileExistsError):
+        return open(os.path.join(spool, f"{i}.entry"), "xb")
 
 
-def _spool_fit(spool, i, entry, fit):
-    """Spool triple i's result in the directory `spool`: its fit, unless
-    None, pickled to `<i>.pickle`, then its entry and that path (None
-    without a fit) to the entry file that claimed it (`_claim`)."""
-    path = None
-    if fit is not None:
-        path = os.path.join(spool, f"{i}.pickle")
-        with open(path, "wb") as fh:
-            pickle.dump(fit, fh, protocol=pickle.HIGHEST_PROTOCOL)
-    with open(os.path.join(spool, f"{i}.entry"), "wb") as fh:
-        pickle.dump((entry, path), fh, protocol=pickle.HIGHEST_PROTOCOL)
+def _rank(entry, i):
+    """Triple i's rank in the BIC selection, lowest first: (BIC, i), or (inf, i)
+    when it cannot be selected, which never ranks below the start (inf, 0)."""
+    return (np.inf if entry.degenerate or not np.isfinite(entry.bic) else entry.bic), i
 
 
 def _spooled_entry(spool, i):
-    """The (entry, fit path) that `_spool_fit` wrote for triple i."""
+    """The `GridEntry` that a worker wrote for triple i."""
     with open(os.path.join(spool, f"{i}.entry"), "rb") as fh:
         return pickle.load(fh)
 
 
 def _load_fit(path):
-    """The fit that `_spool_fit` wrote to `path`."""
+    """The fit that a worker pickled to `path`."""
     with open(path, "rb") as fh:
         return pickle.load(fh)
 
 
 def _work(one, count, spool, parent, status_fd):
-    """A forked worker's whole life: claim triples in grid order and spool
-    each one's result `one(i)`, until none is left or the process that
-    forked it (pid `parent`) is gone, then leave through `os._exit`.  An
-    exception that ends it is written to `status_fd` first.  It ignores
-    SIGINT, which the parent blocked across the fork: Ctrl-C is the
-    parent's to handle."""
+    """A forked worker's whole life: claim triples in grid order, writing
+    each one's entry (`one(i)`) to the file that claimed it and keeping only
+    its best fit by `_rank`, until none is left or the process that forked
+    it (pid `parent`) is gone; then pickle that fit to `<i>.pickle`, unless
+    orphaned, and leave through `os._exit`.  An exception that ends it is
+    written to `status_fd` first.  It ignores SIGINT and takes SIGTERM's
+    default action; the parent blocked both across the fork."""
     code = 1
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
-        signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT, signal.SIGTERM})
+        best_key, best_fit = (np.inf, 0), None
         for i in range(count):
             if os.getppid() != parent:
                 break
-            if _claim(spool, i):
-                _spool_fit(spool, i, *one(i))
+            if (fh := _claim(spool, i)) is None:
+                continue
+            with fh:
+                entry, fit = one(i)
+                pickle.dump(entry, fh, protocol=pickle.HIGHEST_PROTOCOL)
+            if (key := _rank(entry, i)) < best_key:
+                best_key, best_fit = key, fit
+            del fit  # only the best fit outlives its triple
+        if best_fit is not None and os.getppid() == parent:
+            with open(os.path.join(spool, f"{best_key[1]}.pickle"), "wb") as fh:
+                pickle.dump(best_fit, fh, protocol=pickle.HIGHEST_PROTOCOL)
         code = 0
     except BaseException as exc:
         # One write of at most PIPE_BUF bytes to an empty pipe never blocks.
@@ -746,9 +747,9 @@ def _fork_workers(one, count, spool, workers):
     live = {}  # read end of a child's pipe -> the child's pid
     ends = select.poll()
     try:
-        # A Ctrl-C during the forks waits until the new child ignores SIGINT
-        # and is then the parent's alone.
-        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        # A Ctrl-C or SIGTERM during the forks waits until the new child has
+        # set its own actions and is then the parent's alone.
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT, signal.SIGTERM})
         try:
             for _ in range(workers):
                 r, w = os.pipe()
@@ -781,6 +782,40 @@ def _fork_workers(one, count, spool, workers):
             os.close(r)
 
 
+class _Terminated(BaseException):
+    """A SIGTERM that arrived while the calling process held a spool
+    (`_spool`)."""
+
+
+def _terminated(signum, frame):
+    signal.signal(signal.SIGTERM, signal.SIG_IGN)  # a second one must not cut the cleanup short
+    raise _Terminated
+
+
+@contextlib.contextmanager
+def _spool():
+    """A fresh spool directory (`mplnfa-*`, in `tempfile`'s default
+    location, which honours TMPDIR), removed on leaving.  While it is held
+    in the main thread, a SIGTERM whose action is the default raises
+    `_Terminated`, so the workers are killed and reaped and the directory
+    is removed as on Ctrl-C; the process then ends by SIGTERM all the
+    same."""
+    catch = (signal.getsignal(signal.SIGTERM) == signal.SIG_DFL
+             and threading.current_thread() is threading.main_thread())
+    try:
+        if catch:
+            signal.signal(signal.SIGTERM, _terminated)
+        with tempfile.TemporaryDirectory(prefix="mplnfa-") as spool:
+            yield spool
+    except _Terminated:
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        os.kill(os.getpid(), signal.SIGTERM)
+        raise
+    finally:
+        if catch:
+            signal.signal(signal.SIGTERM, signal.SIG_DFL)
+
+
 def _error_text(exc):
     """A failed triple's error: the message of a numerical failure, any
     other exception's prefixed by its class name."""
@@ -795,20 +830,21 @@ def grid_search(data, factors, config, threads=None):
     `threads` caps the worker processes (`_pool_size`); it never changes
     the result.  Every G's start (`_start_of`) is built once, before the
     workers fork (`_fork_workers`).  Each worker claims the next unclaimed
-    triple itself and spools its entry and fit to a temporary directory
-    (`tempfile`'s default location, which honours TMPDIR).  The calling
-    process starts no thread; it waits for its workers to exit, reads the
-    entries back in grid order and unpickles only the selected fit.  A
-    worker that dies raises RuntimeError; on that, Ctrl-C or any other
+    triple itself and spools its entry to a temporary directory (`_spool`),
+    and when no triple is left, its own best fit.  The calling process
+    starts no thread; it waits for its workers to exit, reads the entries
+    back in grid order and unpickles only the selected fit.  A worker that
+    dies raises RuntimeError; on that, Ctrl-C, SIGTERM or any other
     exception the workers are killed and reaped, and the directory is
-    removed before the call returns or raises.  A triple whose fit raises
-    an `Exception`, or whose G's start does, is recorded in the summaries
-    with its error (`_error_text`) and excluded from selection, as is a
-    degenerate one; `NumericalError` is raised only when no triple is left
-    to select, and names the first failed triple.  The returned entries
-    follow the triple order sorted by (G, K, model position); the selected
-    fit is the BIC argmin with ties broken by that order, independent of
-    worker scheduling.
+    removed before the call returns or raises (SIGTERM then ends the
+    process).  A triple whose fit raises an `Exception`, or whose G's
+    start does, is recorded in the summaries with its error
+    (`_error_text`) and excluded from selection, as is a degenerate one;
+    `NumericalError` is raised only when no triple is left to select, and
+    names the first failed triple.  The returned entries follow the triple
+    order sorted by (G, K, model position); the selected fit is the BIC
+    argmin with ties broken by that order (`_rank`), independent of worker
+    scheduling.
     """
     y, logc, x, pois_const = _prepare(data, factors)
     if not isinstance(config, FitConfig):
@@ -854,26 +890,23 @@ def grid_search(data, factors, config, threads=None):
         ), fit
 
     # Entries are taken in triple order and only the best fit is kept.
-    # Forked workers inherit `_one`, with the data it closes over, and spool
-    # every result; only the selected fit is read back.  The children have
-    # all exited before the spool is removed.
+    # Forked workers inherit `_one`, with the data it closes over.  The
+    # children have all exited before the spool is removed.
     workers = _pool_size(threads, len(triples))
     results = [None] * len(triples)
     best_key, best_fit = (np.inf, 0), None
-    with (tempfile.TemporaryDirectory(prefix="mplnfa-") if workers
-          else contextlib.nullcontext()) as spool:
+    with (_spool() if workers else contextlib.nullcontext()) as spool:
         if workers:
             _fork_workers(_one, len(triples), spool, workers)
-            done = (_spooled_entry(spool, i) for i in range(len(triples)))
+            done = ((_spooled_entry(spool, i), None) for i in range(len(triples)))
         else:
             done = map(_one, range(len(triples)))
         for i, (entry, fit) in enumerate(done):
             results[i] = entry
-            key = (entry.bic, i)
-            if not entry.degenerate and np.isfinite(key[0]) and key < best_key:
+            if (key := _rank(entry, i)) < best_key:
                 best_key, best_fit = key, fit
-        if workers and best_fit is not None:
-            best_fit = _load_fit(best_fit)
+        if workers and best_key[0] < np.inf:
+            best_fit = _load_fit(os.path.join(spool, f"{best_key[1]}.pickle"))
 
     entries = tuple(results)
     if best_fit is None:

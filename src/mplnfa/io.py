@@ -339,8 +339,7 @@ def build_truth(replicate, seed, labels, model):
 def write_report(path, report):
     """Write a JSON artifact: two-space indent, trailing newline."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(report, indent=2) + "\n")
 
 
 def _read_json(path, fields):

@@ -450,7 +450,7 @@ def _s_of(rho, sigma):
     mat_m = np.ascontiguousarray(mat_m.transpose(1, 2, 0)).reshape(k, k, *h.shape[:2])
     mat_m[np.arange(k), np.arange(k)] += 1.0
     ell_inv, logdet_m = _chol_inv(mat_m)
-    s_w = np.ascontiguousarray(ell_inv.transpose(2, 3, 0, 1)) @ lam_t
+    s_w = _comp_apply(lam, ell_inv.transpose(2, 3, 0, 1))
     s_w *= h[..., None, :]
     s_d = psi * h
     return (s_d, s_w, _s_diag((s_d, s_w))), sig_logdet - np.log1p(psi_rho).sum(-1) - logdet_m

@@ -794,15 +794,16 @@ def test_grid_search_breaks_ties_by_grid_position_not_completion(rng, monkeypatc
 @pytest.mark.parametrize("failing", [False, True], ids=["all_fit", "one_fails"])
 def test_grid_search_reads_back_only_the_selected_fit_and_removes_its_spool(
         rng, monkeypatch, tmp_path, failing):
-    # Workers spool their fits to a temporary directory; the caller reads
-    # one file back, and the directory is gone when the call returns, also
-    # after a triple failed in its worker.
+    # Workers spool their entries and each its own best fit to a temporary
+    # directory; the caller reads the selected triple's fit back, and the
+    # directory is gone when the call returns, also after a triple failed
+    # in its worker.
     data, factors, _ = _grid_data(rng)
     cfg = _quick_config(g_range=(1, 2), k_range=(1, 1),
                         models=(ModelId.from_string("UUU"), ModelId.from_string("CCC")))
     test_pid = os.getpid()
     real_run, real_load = em._run_em, em._load_fit
-    loaded = []
+    loaded, spooled = [], []
 
     def flaky(*args):
         if failing and args[4] == 2 and os.getpid() != test_pid:  # g, in a worker
@@ -811,6 +812,7 @@ def test_grid_search_reads_back_only_the_selected_fit_and_removes_its_spool(
 
     def counting_load(path):
         loaded.append(path)
+        spooled.append(sum(f.endswith(".pickle") for f in os.listdir(os.path.dirname(path))))
         return real_load(path)
 
     monkeypatch.setattr(em, "_run_em", flaky)
@@ -822,6 +824,10 @@ def test_grid_search_reads_back_only_the_selected_fit_and_removes_its_spool(
     assert os.path.dirname(spool) == str(tmp_path)
     assert os.path.basename(spool).startswith("mplnfa-")
     assert list(tmp_path.glob("mplnfa-*")) == []
+    assert spooled[0] <= 2  # one fit per worker at most
+    best = [(e.g, e.k, e.model_id) for e in grid.entries].index(
+        (grid.best.g, grid.best.k, grid.best.model_id))
+    assert os.path.basename(loaded[0]) == f"{best}.pickle"
     errors = [e.error for e in grid.entries]
     if failing:
         assert errors == ["", "", "synthetic failure", "synthetic failure"]

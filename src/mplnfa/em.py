@@ -351,8 +351,8 @@ def initialize(data, factors, g, k, seed, n_starts=3, model_id=None):
     _check_ranges(data, (g, g), (k, k))
     start = _start_of(x, g, seed, n_starts, k, (model_id,))
     pi, mu, sigma, m, s, _, f = _start(y, logc, x, start, g, k, model_id, pois_const)
-    zhat = np.zeros((data.n, g))
-    zhat[np.arange(data.n), start.labels] = 1.0
+    zhat = np.zeros((g, data.n))
+    zhat[start.labels, np.arange(data.n)] = 1.0
     return _model_and_state(g, k, model_id, pi, mu, sigma, m, s, zhat, f)
 
 
@@ -362,26 +362,27 @@ def _start(y, logc, x, start, g, k, model_id, pois_const):
     Returns (pi, mu, sigma, m, s, caches, f): the eigen-initialized
     parameters with sigma's factors (`_sigma_from`), variational means at
     the transformed data, every S block INIT_S_SCALE * I (s_d at
-    INIT_S_SCALE, s_w zero, in the layout of `stage1`), and the bound
-    pieces of `_make_caches` at that point.  There the rates and the
-    Poisson term depend on the row alone and tr(sigma^-1 S) on the
-    component alone, so each is computed once, by the same kernels, and
-    m, s and the pieces are read-only broadcasts over the other axis,
-    which the first S step only reads.
+    INIT_S_SCALE, s_w zero), and the bound pieces of `_make_caches` at
+    that point, all in the loop's cluster-major layout of `stage1`
+    ((G, n, ...); `_model_and_state` gives the public (n, G, ...) one).
+    There the rates and the Poisson term depend on the row alone and
+    tr(sigma^-1 S) on the component alone, so each is computed once, by
+    the same kernels, and m, s and the pieces are read-only broadcasts
+    over the other axis, which the first S step only reads.
     """
     n, d = y.shape
     pi, mu, lam, psi = _init_params(x, start, g, k, model_id)
     sigma = _sigma_from(lam, psi)
-    m = np.broadcast_to(x[:, None, :], (n, g, d))
-    s_d = np.broadcast_to(INIT_S_SCALE, (n, g, d))
-    s = (s_d, np.broadcast_to(0.0, (n, g, k, d)), s_d)
-    rate, pois, clamps = stage1._poisson_batch((y, logc, x), m[:, :1], s_d[:, :1])
+    m = np.broadcast_to(x, (g, n, d))
+    s_d = np.broadcast_to(INIT_S_SCALE, (g, n, d))
+    s = (s_d, np.broadcast_to(0.0, (g, n, k, d)), s_d)
+    rate, pois, clamps = stage1._poisson_batch((y, logc, x), m[:1], s_d[:1])
     caches = {
         "rate": np.broadcast_to(rate, m.shape),
-        "pois": np.broadcast_to(pois, (n, g)),
+        "pois": np.broadcast_to(pois, (g, n)),
         "quad": stage1._quad_batch(m, mu, sigma),
-        "trs": np.broadcast_to(stage1._trace_batch(sigma, tuple(a[:1] for a in s)), (n, g)),
-        "logdet_s": np.broadcast_to(d * np.log(INIT_S_SCALE), (n, g)),  # log|INIT_S_SCALE * I|
+        "trs": np.broadcast_to(stage1._trace_batch(sigma, tuple(a[:, :1] for a in s)), (g, n)),
+        "logdet_s": np.broadcast_to(d * np.log(INIT_S_SCALE), (g, n)),  # log|INIT_S_SCALE * I|
         "pois_const": pois_const,
         "clamps": clamps * g,
     }
@@ -391,17 +392,18 @@ def _start(y, logc, x, start, g, k, model_id, pois_const):
 
 def _model_and_state(g, k, model_id, pi, mu, sigma, m, s, zhat, f):
     """The fitted model and the variational state, with the factor
-    posterior (p, q) at sigma's (lam, psi).  The state's m, s_d and s_w
-    (n, G, d, K) are made C-contiguous here: a start's broadcasts become
-    arrays, and the dense S is the same product whether the fit was
-    built in this process or unpickled."""
+    posterior (p, q) at sigma's (lam, psi).  This is where the loop's
+    cluster-major (G, n, ...) arrays meet the public layout: the state
+    gets (n, G, ...) views of them (s_w as (n, G, d, K)), which
+    `VariationalState` stores as C-contiguous copies, so a start's
+    broadcasts become arrays and the dense S is the same product whether
+    the fit was built in this process or unpickled."""
     lam, psi, beta, _ = sigma
-    p = np.einsum("gkd,ngd->ngk", beta, m - mu[None])
+    p = np.einsum("gkd,gnd->ngk", beta, m - mu[:, None])
     q = stage2._q_from(lam, psi)
     model = MixtureModel.from_arrays(g, k, model_id, pi, mu, lam, psi)
-    s_w = np.ascontiguousarray(np.swapaxes(s[1], -1, -2))
-    return model, VariationalState(m=np.ascontiguousarray(m), s_d=np.ascontiguousarray(s[0]),
-                                   s_w=s_w, p=p, q=q, zhat=zhat, f=f)
+    return model, VariationalState(m=np.swapaxes(m, 0, 1), s_d=np.swapaxes(s[0], 0, 1),
+                                   s_w=s[1].transpose(1, 0, 3, 2), p=p, q=q, zhat=zhat.T, f=f.T)
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +457,8 @@ def _make_caches(y, logc, x, m, s, mu, sigma, logdet_s, pois_const):
     (m, s); `_start` builds the same pieces at its (m, s) from their row
     and component parts.
 
-    logdet_s (n, G) is log|S| of every block, known without factorizing S;
+    Every per-pair array is cluster-major (`stage1`): logdet_s (G, n) is
+    log|S| of every block, known without factorizing S;
     pois_const (n,) is what the term of `stage1._poisson_batch` leaves out
     (`_prepare`).
     """
@@ -486,25 +489,23 @@ def _assemble_f(caches, sig_logdet, d):
         -0.5 * caches["quad"]
         - 0.5 * caches["trs"]
         + 0.5 * caches["logdet_s"]
-        - 0.5 * sig_logdet[None, :]
+        - 0.5 * sig_logdet[:, None]
         + 0.5 * d
         + caches["pois"]
-        + caches["pois_const"][:, None]
+        + caches["pois_const"]
     )
 
 
 def _s_means(zhat, n_g, s):
     """Responsibility-weighted means of S over observations, (G, d, d),
-    built from the factors of S."""
+    built from the factors of S; zhat (G, n) and s cluster-major."""
     s_d, s_w = s[:2]
-    n, g, k, d = s_w.shape
+    g, n, k, d = s_w.shape
     idx = np.arange(d)
-    # sum_i zhat_ig W_ig' W_ig as one product of the stacked sqrt(zhat) W,
-    # written (G, n, K, d) in the pass that weights it
-    wz = np.multiply(np.sqrt(zhat.T)[..., None, None], s_w.transpose(1, 0, 2, 3), order="C")
-    wz = wz.reshape(g, n * k, d)
+    # sum_i zhat_gi W_gi' W_gi as one product of the stacked sqrt(zhat) W
+    wz = (np.sqrt(zhat)[..., None, None] * s_w).reshape(g, n * k, d)
     mean_s = wz.transpose(0, 2, 1) @ wz
-    mean_s[:, idx, idx] += np.einsum("ng,ngd->gd", zhat, s_d)
+    mean_s[:, idx, idx] += np.einsum("gn,gnd->gd", zhat, s_d)
     mean_s /= n_g[:, None, None]
     return mean_s
 
@@ -527,7 +528,10 @@ def _sigma_step(model_id, a_bar, n_g, sigma):
 
 def _run_em(y, logc, x, start, g, k, model_id, config, pois_const):
     """Alternate the two stages to convergence from the G's start
-    (`_GStart`); pois_const is the per-row constant of `_prepare`."""
+    (`_GStart`); pois_const is the per-row constant of `_prepare`.  Every
+    per-pair array is held cluster-major (`stage1`); the public functions
+    `stage1.update_pi_mu` and `stage2.make_stage2_stats` read (n, G, ...)
+    views of them."""
     n, d = y.shape
     pi, mu, sigma, m, s, caches, f = _start(y, logc, x, start, g, k, model_id, pois_const)
     zhat, bound = stage1._e_step(f, pi)
@@ -547,7 +551,7 @@ def _run_em(y, logc, x, start, g, k, model_id, config, pois_const):
 
     for t in range(1, config.max_outer + 1):
         n_iter = t
-        n_g = zhat.sum(axis=0)
+        n_g = zhat.sum(axis=1)
         if np.any(n_g < stage1.EMPTY_TOL):
             diag["degenerate"] = True
             diag["empty_component_iteration"] = t
@@ -566,9 +570,10 @@ def _run_em(y, logc, x, start, g, k, model_id, config, pois_const):
         diag["exp_clamped"] += cl
         diag["m_guard_backtracks"] += nb
 
-        pi, mu = stage1.update_pi_mu(zhat, m)
+        m_rows = np.swapaxes(m, 0, 1)  # the (n, G, d) view the public functions take
+        pi, mu = stage1.update_pi_mu(zhat.T, m_rows)
 
-        a_bar = stage2.make_stage2_stats(zhat, m, mu) + _s_means(zhat, n_g, s)
+        a_bar = stage2.make_stage2_stats(zhat.T, m_rows, mu) + _s_means(zhat, n_g, s)
         sigma, info = _sigma_step(model_id, a_bar, n_g, sigma)
         diag["psi_floored"] += info["psi_floored"]
         diag["stage2_sweeps_last"] = info["sweeps"]
@@ -582,7 +587,7 @@ def _run_em(y, logc, x, start, g, k, model_id, config, pois_const):
             converged = True
             break
 
-    if not diag["degenerate"] and np.any(zhat.sum(axis=0) < stage1.EMPTY_TOL):
+    if not diag["degenerate"] and np.any(zhat.sum(axis=1) < stage1.EMPTY_TOL):
         diag["degenerate"] = True
         diag["empty_component_iteration"] = n_iter
 
@@ -593,7 +598,7 @@ def _run_em(y, logc, x, start, g, k, model_id, config, pois_const):
     try:
         model, state = _model_and_state(g, k, model_id, pi, mu, sigma, m, s, zhat, f)
         bic_val = bic(loglik, rho, n)
-        icl_val = icl(bic_val, zhat)
+        icl_val = icl(bic_val, state.zhat)
     except InputError as exc:
         raise NumericalError(f"fitted state rejected: {exc}") from exc
     return FitResult(
@@ -607,7 +612,7 @@ def _run_em(y, logc, x, start, g, k, model_id, config, pois_const):
         free_params=rho,
         bic=bic_val,
         icl=icl_val,
-        assignments=np.argmax(zhat, axis=1),
+        assignments=np.argmax(state.zhat, axis=1),
         converged=converged,
         n_iter=n_iter,
         diagnostics=diag,
@@ -898,13 +903,12 @@ def grid_search(data, factors, config, threads=None):
     with (_spool() if workers else contextlib.nullcontext()) as spool:
         if workers:
             _fork_workers(_one, len(triples), spool, workers)
-            done = ((_spooled_entry(spool, i), None) for i in range(len(triples)))
-        else:
-            done = map(_one, range(len(triples)))
-        for i, (entry, fit) in enumerate(done):
+        for i in range(len(triples)):
+            entry, fit = (_spooled_entry(spool, i), None) if workers else _one(i)
             results[i] = entry
             if (key := _rank(entry, i)) < best_key:
                 best_key, best_fit = key, fit
+            del fit  # only the best fit outlives its triple, as in `_work`
         if workers and best_key[0] < np.inf:
             best_fit = _load_fit(os.path.join(spool, f"{best_key[1]}.pickle"))
 

@@ -215,8 +215,9 @@ def update_m(y, c, sigma, mu, m_prev, s_new):
 
 def update_responsibilities(f, pi):
     """Posterior component probabilities softmax(log pi_g + f_ig), row-wise
-    and max-shifted (`_e_step`): invariant to adding a per-row constant to
-    f, with rows that sum to 1 to rounding even where |f| is huge."""
+    and max-shifted (`_e_step`, on a cluster-major copy of f (n, G)):
+    invariant to adding a per-row constant to f, with rows that sum to 1
+    to rounding even where |f| is huge."""
     f = np.asarray(f, dtype=np.float64)
     pi = np.asarray(pi, dtype=np.float64)
     if f.ndim != 2:
@@ -227,7 +228,7 @@ def update_responsibilities(f, pi):
         raise InputError("pi must be positive and sum to 1")
     if not np.all(np.isfinite(f)):
         raise InputError("f must be finite")
-    return _e_step(f, pi)[0]
+    return _e_step(np.ascontiguousarray(f.T), pi)[0].T
 
 
 def update_pi_mu(zhat, m):
@@ -256,37 +257,47 @@ def update_pi_mu(zhat, m):
 # batched kernels (driver internals)
 # ---------------------------------------------------------------------------
 #
-# Shapes: rows obs = (y, logc, x), m (n, G, d), mu (G, d).  A component
-# covariance travels as its factors sigma = (lam, psi, beta, logdet):
-# lam (G, d, K), psi (G, d), beta = lam' sigma^-1 (G, K, d) and
+# Layout: every per-pair array is cluster-major, (G, n, ...), so the pairs
+# of one component are one contiguous block.  m and the rates are
+# (G, n, d); mu (G, d) is taken as mu[:, None] against them, and the rows
+# obs = (y (n, d), logc (n,), x (n, d)) broadcast against them.  A
+# component covariance travels as its factors sigma = (lam, psi, beta,
+# logdet): lam (G, d, K), psi (G, d), beta = lam' sigma^-1 (G, K, d) and
 # log|sigma| (G,), from em._sigma_from.  A variational covariance travels
-# as s = (s_d, s_w, s_diag), S = diag(s_d) + s_w' s_w with s_d (n, G, d),
-# the factor K-major as s_w (n, G, K, d), and s_diag = diag S (n, G, d),
+# as s = (s_d, s_w, s_diag), S = diag(s_d) + s_w' s_w with s_d (G, n, d),
+# the factor K-major as s_w (G, n, K, d), and s_diag = diag S (G, n, d),
 # made once where S is made (`_s_of`, em._start) and read by the Poisson
-# terms, the m step and `_trace_batch`.  A full S step takes
-# tr(sigma^-1 S) in closed form at the rho it was made from; `_trace_batch`
-# serves an S made at another sigma.  Every kernel costs O(d K^2) per pair
-# and forms no d x d matrix.  The guards run the same kernels on the b
-# pairs they pull back, laid out as one row: per-pair arrays (1, b, ...)
-# and sigma taken at those pairs' components (`_take`).  All kernels are
-# pure functions; em._run_em owns caching of repeated terms.
+# terms, the m step and `_trace_batch`.  Per-pair scalars (the Poisson
+# term, the quadratic, the trace, log|S|, f) are (G, n).  A full S step
+# takes tr(sigma^-1 S) in closed form at the rho it was made from;
+# `_trace_batch` serves an S made at another sigma.  Every kernel costs
+# O(d K^2) per pair and forms no d x d matrix.  The guards run the same
+# kernels on the b pairs they pull back, laid out as b components of one
+# row each: per-pair arrays (b, 1, ...) and sigma taken at those pairs'
+# components (`_take`), and `_poisson_batch` takes the b pairs as b rows
+# (b, d) with their obs rows.  All kernels are pure functions; em._run_em owns
+# caching of repeated terms.  This layout meets the public (n, G, ...)
+# one only at em's edges: the `VariationalState` that em._model_and_state
+# copies out, and the (n, G, ...) views that em._run_em hands
+# `update_pi_mu` and stage2.make_stage2_stats.
 
 
 def _e_step(f, pi):
-    """Responsibilities softmax(log pi + f) and the total bound
-    sum_i log sum_g pi_g exp(f_ig) from one max-shifted exponential.  Row
-    i's log-sum-exp is log1p(r_i / c_i) + log c_i + t_i, as in scipy: t_i
-    is its maximum, c_i how often it occurs, r_i the other terms' sum."""
+    """Responsibilities softmax(log pi + f) (G, n) of f (G, n) and the total
+    bound sum_i log sum_g pi_g exp(f_gi) from one max-shifted exponential.
+    Observation i's log-sum-exp is log1p(r_i / c_i) + log c_i + t_i, as in
+    scipy: t_i is its maximum, c_i how often it occurs, r_i the other
+    terms' sum."""
     if not np.all(np.isfinite(f)):
         raise NumericalError("non-finite per-pair bound in the E-step")
-    logw = np.log(pi)[None, :] + f
-    top = logw.max(axis=1, keepdims=True)
+    logw = np.log(pi)[:, None] + f
+    top = logw.max(axis=0)
     w = np.exp(logw - top)
     at_top = logw == top
-    count = at_top.sum(axis=1)
-    rest = np.where(at_top, 0.0, w).sum(axis=1) / count
-    bound = float((np.log1p(rest) + np.log(count) + top[:, 0]).sum())
-    return w / w.sum(axis=1, keepdims=True), bound
+    count = at_top.sum(axis=0)
+    rest = np.where(at_top, 0.0, w).sum(axis=0) / count
+    bound = float((np.log1p(rest) + np.log(count) + top).sum())
+    return w / w.sum(axis=0), bound
 
 
 def _take(sigma, comps):
@@ -295,15 +306,15 @@ def _take(sigma, comps):
 
 
 def _comp_apply(a, x):
-    """a_g x for every vector x of a pair with component g, (n, G, ..., p).
+    """a_g x for every vector x of a pair with component g, (G, n, ..., p).
 
-    a (G, p, q) holds one matrix per component and x (n, G, ..., q) the
+    a (G, p, q) holds one matrix per component and x (G, n, ..., q) the
     vectors of every pair.  One matrix product per component covers all
-    of its pairs; a product per pair would cost n times the calls.
+    of its pairs; a product per pair would cost n times the calls.  A
+    C-contiguous x is read in place, and the result is C-contiguous.
     """
-    xg = np.swapaxes(x, 0, 1)
-    out = xg.reshape(xg.shape[0], -1, xg.shape[-1]) @ np.swapaxes(a, -1, -2)
-    return np.swapaxes(out.reshape(*xg.shape[:-1], a.shape[-2]), 0, 1)
+    out = x.reshape(x.shape[0], -1, x.shape[-1]) @ np.swapaxes(a, -1, -2)
+    return out.reshape(*x.shape[:-1], a.shape[-2])
 
 
 def _chol_inv(mat):
@@ -350,10 +361,10 @@ def _s_apply(s, x):
 
 
 def _sig_inv_apply(x, sigma):
-    """sigma^-1 x = psi^-1 (x - lam beta x) for every vector x (n, G, ..., d)."""
+    """sigma^-1 x = psi^-1 (x - lam beta x) for every vector x (G, n, ..., d)."""
     lam, psi, beta, _ = sigma
     out = x - _comp_apply(lam, _comp_apply(beta, x))
-    out /= np.expand_dims(psi, tuple(range(1, x.ndim - 2)))
+    out /= np.expand_dims(psi, tuple(range(1, x.ndim - 1)))
     return out
 
 
@@ -361,14 +372,14 @@ def _poisson_batch(obs, m, s_diag):
     """Clamped rates, each pair's Poisson term and the clamp count.
 
     obs = (y, log C, x = log(y + 1) - log C) are the rows of m and s_diag
-    (n, ..., d).  With e = expm1(m + s/2 - x) at the clamped rate argument,
+    (..., n, d).  With e = expm1(m + s/2 - x) at the clamped rate argument,
     the term sum_j y_j (m_j - x_j - e_j) - e_j is m'y + log C sum(y) - sum(rates)
     less sum_j (y_j log(y_j + 1) - y_j - 1): the deviance form, whose pieces
     stay small where those sums are huge and cancel.
     """
-    y, logc, x = (v.reshape(v.shape[:1] + (1,) * (m.ndim - v.ndim) + v.shape[1:]) for v in obs)
+    y, logc, x = obs
     half_s = 0.5 * s_diag
-    arg = logc + m
+    arg = logc[:, None] + m
     arg += half_s
     n_clamped = int(np.count_nonzero(np.abs(arg) > EXP_CLAMP))
     clipped = np.clip(arg, -EXP_CLAMP, EXP_CLAMP) if n_clamped else arg
@@ -382,7 +393,7 @@ def _poisson_batch(obs, m, s_diag):
 
 
 def _split_apply(sigma, x):
-    """(lam' psi^-1 x, beta x) for every vector x (n, G, ..., d), from one
+    """(lam' psi^-1 x, beta x) for every vector x (G, n, ..., d), from one
     product of the stacked (G, 2K, d) [lam' psi^-1; beta] per component.
 
     With sigma^-1 = psi^-1 - psi^-1 lam beta, the pair gives
@@ -396,15 +407,15 @@ def _split_apply(sigma, x):
 
 
 def _quad_batch(m, mu, sigma):
-    """(m - mu)' sigma^-1 (m - mu) for every pair, (n, G), in the split
+    """(m - mu)' sigma^-1 (m - mu) for every pair, (G, n), in the split
     form of `_split_apply`."""
-    v = m - mu
+    v = m - mu[:, None]
     a, b = _split_apply(sigma, v)
-    return np.einsum("...d,...d->...", v / sigma[1], v) - np.einsum("...k,...k->...", a, b)
+    return np.einsum("...d,...d->...", v / sigma[1][:, None], v) - np.einsum("...k,...k->...", a, b)
 
 
 def _trace_batch(sigma, s):
-    """tr(sigma^-1 S) for every pair, (n, G).
+    """tr(sigma^-1 S) for every pair, (G, n).
 
     With sigma^-1 = psi^-1 (I - lam beta), tr(sigma^-1 S) is
     tr(psi^-1 S) - tr(psi^-1 lam beta diag(s_d)) - <A, B>, where
@@ -415,13 +426,13 @@ def _trace_batch(sigma, s):
     lam_beta = (lam * np.swapaxes(beta, -1, -2)).sum(-1)  # diag(lam beta), (G, d)
     # row c of a and b is (A[:, c], B[:, c]), for row c of s_w
     a, b = _split_apply(sigma, s_w)
-    return (((s_diag - s_d * lam_beta) / psi).sum(-1)
+    return (np.einsum("...d->...", (s_diag - s_d * lam_beta[:, None]) / psi[:, None])
             - np.einsum("...ck,...ck->...", a, b))
 
 
 def _s_trace(rho, s_diag):
     """tr(sigma^-1 S) at S = S(rho) of `_s_of`: sigma^-1 S = I - diag(rho) S,
-    so it is d - sum_j rho_j S_jj, (n, G)."""
+    so it is d - sum_j rho_j S_jj, (G, n)."""
     return s_diag.shape[-1] - np.einsum("...d,...d->...", rho, s_diag)
 
 
@@ -435,57 +446,62 @@ def _s_of(rho, sigma):
         log|S| = log|sigma| - sum log(1 + psi rho) - log|M|,
 
     so s_d = psi h and s_w = L^-1 V', with L the Cholesky factor of the
-    K x K M.  M has eigenvalues >= 1, and no term cancels.  rho (n, G, d)
-    must be positive.  Returns ((s_d, s_w, diag S), log|S|).
+    K x K M.  M has eigenvalues >= 1, and no term cancels.  rho (G, n, d)
+    must be positive.  Returns ((s_d, s_w, diag S), log|S|), each array
+    C-contiguous and cluster-major: s_w (G, n, K, d) comes straight from
+    one product per component, in the layout the loop keeps (em._run_em
+    swaps it to the public (n, G, d, K) only in em._model_and_state).
     """
     lam, psi, _, sig_logdet = sigma
     g, _, k = lam.shape
-    psi_rho = psi * rho
+    psi_rho = psi[:, None] * rho
     h = 1.0 / (1.0 + psi_rho)
     lam_t = np.swapaxes(lam, -1, -2)
     # M - I = sum_j rho_j h_j lam_j lam_j', one product per component,
-    # laid out as contiguous (K, K, n, G) planes
+    # laid out as contiguous (K, K, G, n) planes
     outer = (lam_t[:, :, None, :] * lam_t[:, None, :, :]).reshape(g, k * k, -1)
-    mat_m = outer @ np.transpose(rho * h, (1, 2, 0))
-    mat_m = np.ascontiguousarray(mat_m.transpose(1, 2, 0)).reshape(k, k, *h.shape[:2])
+    mat_m = outer @ np.swapaxes(rho * h, -1, -2)
+    mat_m = np.ascontiguousarray(mat_m.transpose(1, 0, 2)).reshape(k, k, *h.shape[:2])
     mat_m[np.arange(k), np.arange(k)] += 1.0
     ell_inv, logdet_m = _chol_inv(mat_m)
     s_w = _comp_apply(lam, ell_inv.transpose(2, 3, 0, 1))
     s_w *= h[..., None, :]
-    s_d = psi * h
-    return (s_d, s_w, _s_diag((s_d, s_w))), sig_logdet - np.log1p(psi_rho).sum(-1) - logdet_m
+    s_d = psi[:, None] * h
+    logdet = sig_logdet[:, None] - np.einsum("...d->...", np.log1p(psi_rho)) - logdet_m
+    return (s_d, s_w, _s_diag((s_d, s_w))), logdet
 
 
 def _guard_pairs(phi_old, new, old, at, phi, move=True):
     """The per-pair ascent guard shared by the batched S and m steps.
 
-    phi_old and phi (n, G) are every pair's objective before and after
+    phi_old and phi (G, n) are every pair's objective before and after
     its full step; `new` and `old` are matching tuples of the pieces
-    (n, G, ...) after and before it.  A pair that may `move` and whose
+    (G, n, ...) after and before it, in the loop's cluster-major layout,
+    never the public (n, G, ...) one.  A pair that may `move` and whose
     phi is not finite or falls below phi_old, less a 1e-12 relative
     slack, is guarded: it tries step lengths eta = 1/2, 1/4, ...
-    (`MAX_HALVINGS` values), with at(eta, i, j) giving the objectives and
-    the pieces of the pairs (i, j) still searching.  A pair takes the
-    pieces of its first finite eta at or above its floor into `new`; a
-    pair with no passing step gets its `old` pieces back, bitwise.
-    Returns the number of guarded pairs.
+    (`MAX_HALVINGS` values), with at(eta, j, i) giving the objectives and
+    the pieces of the pairs (component j, row i) still searching.  A pair
+    takes the pieces of its first finite eta at or above its floor into
+    `new`; a pair with no passing step gets its `old` pieces back,
+    bitwise.  Returns the number of guarded pairs.
     """
     floor = phi_old - 1e-12 * np.maximum(1.0, np.abs(phi_old))
     bad = move & ~(np.isfinite(phi) & (phi >= floor))
-    bi, bg = np.nonzero(bad)
+    bg, bi = np.nonzero(bad)
     n_guarded = bi.size
     for eta in 0.5 ** np.arange(1, MAX_HALVINGS + 1):
         if not bi.size:
             break
-        phi_c, pieces = at(eta, bi, bg)
-        ok = np.isfinite(phi_c) & (phi_c >= floor[bi, bg])
-        i, j = bi[ok], bg[ok]
+        phi_c, pieces = at(eta, bg, bi)
+        ok = np.isfinite(phi_c) & (phi_c >= floor[bg, bi])
+        j, i = bg[ok], bi[ok]
         for a, piece in zip(new, pieces):
-            a[i, j] = piece[ok]
-        bi, bg = bi[~ok], bg[~ok]
+            a[j, i] = piece[ok]
+        bg, bi = bg[~ok], bi[~ok]
     else:  # the halvings ran out
         for a, b in zip(new, old):
-            a[bi, bg] = b[bi, bg]
+            a[bg, bi] = b[bg, bi]
     return n_guarded
 
 
@@ -508,16 +524,16 @@ def _update_s_guarded(sigma, obs, m, s, trs, logdet_s, pois, rate):
     trs_new = _s_trace(rate, s_new[2])
     rate_new, pois_new, clamps = _poisson_batch(obs, m, s_new[2])
 
-    def at(eta, i, j):
+    def at(eta, j, i):
         """Objectives and pieces (S, tr(sigma^-1 S), log|S|, rates,
-        Poisson term) at S(r / eta) of pairs (i, j)."""
-        rho = rate[i, j] / eta
-        s_c, logdet_c = _s_of(rho[None], _take(sigma, j))
-        s_c = tuple(a[0] for a in s_c)
-        rate_c, pois_c, _ = _poisson_batch(tuple(a[i] for a in obs), m[i, j], s_c[2])
+        Poisson term) at S(r / eta) of pairs (j, i)."""
+        rho = rate[j, i] / eta
+        s_c, logdet_c = _s_of(rho[:, None], _take(sigma, j))
+        s_c = tuple(a[:, 0] for a in s_c)
+        rate_c, pois_c, _ = _poisson_batch(tuple(a[i] for a in obs), m[j, i], s_c[2])
         tr_c = _s_trace(rho, s_c[2])
-        return (-0.5 * tr_c + 0.5 * logdet_c[0] + pois_c,
-                (*s_c, tr_c, logdet_c[0], rate_c, pois_c))
+        return (-0.5 * tr_c + 0.5 * logdet_c[:, 0] + pois_c,
+                (*s_c, tr_c, logdet_c[:, 0], rate_c, pois_c))
 
     new = (*s_new, trs_new, logdet_new, rate_new, pois_new)
     n_guarded = _guard_pairs(-0.5 * trs + 0.5 * logdet_s + pois, new,
@@ -536,10 +552,10 @@ def _update_m_guarded(obs, sigma, mu, m, s, rate, pois, quad):
     rate, pois, quad, clamps, n_guarded) with the caches refreshed at m_new.
     """
     s_diag = s[2]
-    grad = obs[0][:, None, :] - rate - _sig_inv_apply(m - mu, sigma)
+    grad = obs[0] - rate - _sig_inv_apply(m - mu[:, None], sigma)
     if not np.all(np.isfinite(grad)):
         raise NumericalError("non-finite gradient in batched mean update")
-    move = np.max(np.abs(grad), axis=-1) >= GRAD_TOL
+    move = (np.abs(grad) >= GRAD_TOL).any(-1)  # grad is finite, so this is its sup-norm test
     step = _s_apply(s, grad)
     step[~move] = 0.0
 
@@ -547,12 +563,12 @@ def _update_m_guarded(obs, sigma, mu, m, s, rate, pois, quad):
     rate_new, pois_new, clamps = _poisson_batch(obs, m_new, s_diag)
     quad_new = _quad_batch(m_new, mu, sigma)
 
-    def at(eta, i, j):
+    def at(eta, j, i):
         """Objectives and pieces (m, rates, Poisson term,
-        (m - mu)' sigma^-1 (m - mu)) at m + eta S grad of pairs (i, j)."""
-        m_c = m[i, j] + eta * step[i, j]
-        rate_c, pois_c, _ = _poisson_batch(tuple(a[i] for a in obs), m_c, s_diag[i, j])
-        quad_c = _quad_batch(m_c[None], mu[j], _take(sigma, j))[0]
+        (m - mu)' sigma^-1 (m - mu)) at m + eta S grad of pairs (j, i)."""
+        m_c = m[j, i] + eta * step[j, i]
+        rate_c, pois_c, _ = _poisson_batch(tuple(a[i] for a in obs), m_c, s_diag[j, i])
+        quad_c = _quad_batch(m_c[:, None], mu[j], _take(sigma, j))[:, 0]
         return pois_c - 0.5 * quad_c, (m_c, rate_c, pois_c, quad_c)
 
     new = (m_new, rate_new, pois_new, quad_new)

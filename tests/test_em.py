@@ -1,6 +1,7 @@
 """Scores, initialization, the outer fitting loop, and the model grid."""
 
 import dataclasses
+import gc
 import os
 import signal
 import tempfile
@@ -22,7 +23,7 @@ from mplnfa.em import FitConfig, bic, fit_single, grid_search, icl, initialize
 from mplnfa.evaluate import ari
 from mplnfa.io import NormalizationFactors
 
-from conftest import loop_s, make_counts, unit_factors
+from conftest import loop_s, make_counts, swap_pairs, unit_factors
 from oracles import dense_s, eigen_start, kmeans_labels, sigma_bound_part
 
 
@@ -237,11 +238,12 @@ def test_sigma_guard_bound_is_the_summed_pair_terms(rng):
     lam, psi = rng.uniform(-1.0, 1.0, (g, d, k)), rng.uniform(0.3, 1.0, (g, d))
     sigma = em._sigma_from(lam, psi)
 
-    mean_s = em._s_means(zhat, n_g, s)
+    mean_s = em._s_means(*swap_pairs((zhat, n_g, s)))
     ref = np.einsum("ng,ngde->gde", zhat, dense_s(s)) / n_g[:, None, None]
     assert np.abs(mean_s - ref).max() <= 1e-14 * np.abs(ref).max()
 
-    pairs = -0.5 * (stage1._quad_batch(m, mu, sigma) + stage1._trace_batch(sigma, s))
+    pairs = -0.5 * swap_pairs(stage1._quad_batch(swap_pairs(m), mu, sigma)
+                              + stage1._trace_batch(sigma, swap_pairs(s)))
     expected = (zhat * pairs).sum() - 0.5 * n_g @ sigma[3]
     a_bar = stage2.make_stage2_stats(zhat, m, mu) + mean_s
     assert sigma_bound_part(lam, psi, a_bar, n_g) == pytest.approx(expected, rel=1e-12, abs=0)
@@ -317,7 +319,8 @@ def test_sigma_step_never_lowers_the_total_bound_on_random_draws(model, seed):
     n_g = zhat.sum(axis=0)
     m = rng.normal(1.0, 0.7, (n, g, d))
     s = loop_s(rng.uniform(0.05, 0.5, (n, g, d)), rng.normal(0.0, 0.3, (n, g, d, k)))
-    a_bar = stage2.make_stage2_stats(zhat, m, m.mean(axis=0)) + em._s_means(zhat, n_g, s)
+    a_bar = (stage2.make_stage2_stats(zhat, m, m.mean(axis=0))
+             + em._s_means(*swap_pairs((zhat, n_g, s))))
     lam = rng.uniform(-1.0, 1.0, (g, d, k))
     if model.lambda_constrained:
         lam[:] = lam[0]
@@ -412,6 +415,27 @@ def test_fit_single_recovers_separated_clusters(rng):
     fit = fit_single(data, unit_factors(data.n), g=2, k=1,
                      model_id=ModelId.from_string("UUU"), config=_quick_config())
     assert ari(fit.assignments, labels) >= 0.95
+
+
+def test_loop_holds_pairs_cluster_major_and_the_state_in_public_order(rng):
+    # S is made C-contiguous in the loop's (G, n, ...) layout, and a fit's
+    # state comes out C-contiguous in the public (n, G, ...) one
+    n, g, d, k = 7, 3, 5, 2
+    sigma = em._sigma_from(rng.normal(0.0, 1.0, (g, d, k)), rng.uniform(0.2, 1.0, (g, d)))
+    s, logdet = stage1._s_of(np.exp(rng.uniform(-4.0, 4.0, (g, n, d))), sigma)
+    assert s[1].shape == (g, n, k, d) and s[1].flags.c_contiguous
+    for a in (s[0], s[2]):
+        assert a.shape == (g, n, d) and a.flags.c_contiguous
+    assert logdet.shape == (g, n)
+
+    data, _ = _two_cluster_counts(rng, n=60)
+    fit = fit_single(data, unit_factors(data.n), g=2, k=2,
+                     model_id=ModelId.from_string("UUU"), config=_quick_config())
+    n, g, d, k = data.n, 2, data.d, 2
+    for name, shape in (("m", (n, g, d)), ("s_d", (n, g, d)), ("s_w", (n, g, d, k)),
+                        ("p", (n, g, k)), ("zhat", (n, g)), ("f", (n, g))):
+        a = getattr(fit.state, name)
+        assert a.shape == shape and a.flags.c_contiguous, name
 
 
 def test_fit_single_validates_arguments(rng):
@@ -834,6 +858,31 @@ def test_grid_search_reads_back_only_the_selected_fit_and_removes_its_spool(
         assert grid.best.g == 1
     else:
         assert errors == [""] * 4
+
+
+def test_in_process_grid_search_holds_at_most_one_finished_fit(rng, monkeypatch):
+    # The plain loop keeps only its best fit by the selection rank, as a
+    # worker does, so at most one finished fit is alive when a fit starts.
+    data, factors, _ = _grid_data(rng)
+    cfg = _quick_config(g_range=(1, 2), k_range=(1, 2),
+                        models=(ModelId.from_string("UUU"), ModelId.from_string("CCC")))
+    real_run = em._run_em
+    gc.collect()
+
+    def fits_alive():
+        return sum(isinstance(o, em.FitResult) for o in gc.get_objects())
+
+    before = fits_alive()
+    alive = []
+
+    def counting(*args):
+        alive.append(fits_alive() - before)
+        return real_run(*args)
+
+    monkeypatch.setattr(em, "_run_em", counting)
+    grid_search(data, factors, cfg, threads=1)
+    assert len(alive) == 8
+    assert max(alive) <= 1
 
 
 @pytest.mark.parametrize("death, message", [

@@ -15,7 +15,7 @@ from mplnfa.stage1 import (
 import mplnfa.stage1 as stage1
 import mplnfa.em as em
 
-from conftest import loop_s
+from conftest import loop_s, swap_pairs
 from oracles import dense_s, factor_form, fd_grad, random_loadings_psi, random_spd
 
 
@@ -309,10 +309,11 @@ def test_batched_bound_matches_scalar_loop(rng):
     psi, lam = factor_form(sig)
     sigma = em._sigma_from(lam, psi)
     yf = y.astype(np.float64)
-    caches = em._make_caches(yf, logc, np.log1p(yf) - logc[:, None], m, loop_s(*factor_form(s)),
-                             mu, sigma, np.linalg.slogdet(s)[1], em._count_constant(yf).sum(1))
+    caches = em._make_caches(yf, logc, np.log1p(yf) - logc[:, None],
+                             *swap_pairs((m, loop_s(*factor_form(s)))), mu, sigma,
+                             swap_pairs(np.linalg.slogdet(s)[1]), em._count_constant(yf).sum(1))
     assert caches["clamps"] == 2
-    f = em._assemble_f(caches, sigma[3], d)
+    f = swap_pairs(em._assemble_f(caches, sigma[3], d))
     for i in range(n):
         for j in range(g):
             ref = elbo_stage1(y[i], np.exp(logc[i]), m[i, j], s[i, j], mu[j], sig[j])
@@ -327,8 +328,8 @@ def test_quad_batch_matches_einsum(rng):
     psi, lam = factor_form(sig)
     v = m - mu[None]
     ref = np.einsum("ngd,gde,nge->ng", v, np.linalg.inv(sig), v)
-    np.testing.assert_allclose(stage1._quad_batch(m, mu, em._sigma_from(lam, psi)), ref,
-                               rtol=1e-12, atol=0)
+    quad = swap_pairs(stage1._quad_batch(swap_pairs(m), mu, em._sigma_from(lam, psi)))
+    np.testing.assert_allclose(quad, ref, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("k", [1, 3, 5])
@@ -343,8 +344,8 @@ def test_quad_batch_split_form_matches_dense_inverse(seed, k):
     mu = rng.normal(1.0, 0.5, (g, d))
     v = m - mu[None]
     ref = np.einsum("ngd,gde,nge->ng", v, np.linalg.inv(sig), v)
-    np.testing.assert_allclose(stage1._quad_batch(m, mu, em._sigma_from(lam, psi)), ref,
-                               rtol=1e-12, atol=0)
+    quad = swap_pairs(stage1._quad_batch(swap_pairs(m), mu, em._sigma_from(lam, psi)))
+    np.testing.assert_allclose(quad, ref, rtol=1e-12, atol=0)
 
 
 def test_guarded_batch_updates_match_public_functions(rng):
@@ -359,20 +360,23 @@ def test_guarded_batch_updates_match_public_functions(rng):
     sig = lam @ lam.transpose(0, 2, 1) + psi[:, :, None] * np.eye(d)
     sigma = em._sigma_from(lam, psi)
     obs = (y, logc, np.log1p(y) - logc[:, None])
-    caches = em._make_caches(*obs, m, s, mu, sigma, np.linalg.slogdet(dense_s(s))[1],
+    caches = em._make_caches(*obs, *swap_pairs((m, s)), mu, sigma,
+                             swap_pairs(np.linalg.slogdet(dense_s(s))[1]),
                              em._count_constant(y).sum(1))
 
-    s_new, trs, logdet_s, rate, pois, _, _ = stage1._update_s_guarded(
-        sigma, obs, m, s, caches["trs"], caches["logdet_s"], caches["pois"], caches["rate"],
-    )
+    s_new, trs, logdet_s, rate, pois, _, _ = swap_pairs(stage1._update_s_guarded(
+        sigma, obs, *swap_pairs((m, s)), caches["trs"], caches["logdet_s"], caches["pois"],
+        caches["rate"],
+    ))
     for i in range(n):
         for j in range(g):
             ref = update_s(sig[j], np.exp(logc[i]), m[i, j], dense_s(s)[i, j])
             np.testing.assert_allclose(dense_s(s_new)[i, j], ref, atol=1e-12)
 
-    m_new, *_ = stage1._update_m_guarded(
-        obs, sigma, mu, m, s_new, rate, pois, stage1._quad_batch(m, mu, sigma),
-    )
+    m_new, *_ = swap_pairs(stage1._update_m_guarded(
+        obs, sigma, mu, *swap_pairs((m, s_new, rate, pois)),
+        stage1._quad_batch(swap_pairs(m), mu, sigma),
+    ))
     for i in range(n):
         for j in range(g):
             ref = update_m(y[i], np.exp(logc[i]), sig[j], mu[j], m[i, j], dense_s(s_new)[i, j])
@@ -383,10 +387,12 @@ def test_guarded_batch_updates_match_public_functions(rng):
     y = 10.0 * y
     obs = (y, logc, np.log1p(y) - logc[:, None])
     m = np.log1p(y)[:, None, :].repeat(g, axis=1) - 3.0
-    rate, pois, _ = stage1._poisson_batch(obs, m, np.diagonal(dense_s(s_new), axis1=-2, axis2=-1))
-    m_new, *_, n_guarded = stage1._update_m_guarded(
-        obs, sigma, mu, m, s_new, rate, pois, stage1._quad_batch(m, mu, sigma),
-    )
+    rate, pois, _ = stage1._poisson_batch(
+        obs, *swap_pairs((m, np.diagonal(dense_s(s_new), axis1=-2, axis2=-1))))
+    m_new, *_, n_guarded = swap_pairs(stage1._update_m_guarded(
+        obs, sigma, mu, *swap_pairs((m, s_new)), rate, pois,
+        stage1._quad_batch(swap_pairs(m), mu, sigma),
+    ))
     assert n_guarded > 0
     for i in range(n):
         for j in range(g):
@@ -434,7 +440,7 @@ def _check_s_step_halving(every_rejected):
     m = -3.0 + rng.uniform(-0.5, 0.5, (n, g, d))
     s = loop_s(np.full((n, g, d), 0.01), np.zeros((n, g, d, k)))
     zeros = np.zeros((n, g))
-    rate0 = stage1._poisson_batch(obs, m, s[0])[0]
+    rate0 = swap_pairs(stage1._poisson_batch(obs, *swap_pairs((m, s[0])))[0])
 
     etas = 0.5 ** np.arange(stage1.MAX_HALVINGS + 1)  # the full step, then the halvings
     cands = np.array([[[np.linalg.inv(sig_inv[j] + np.diag(rate0[i, j] / eta)) for eta in etas]
@@ -450,9 +456,9 @@ def _check_s_step_halving(every_rejected):
     if every_rejected:  # nor for any other pair
         floor = phis.max(axis=-1) + 1.0
     # phi_old = -tr/2 + log|S|/2 + Poisson term, so these caches make it the floor
-    s_new, trs, logdet_s, rate, pois, _, n_guarded = stage1._update_s_guarded(
-        sigma, obs, m, s, zeros, 2.0 * floor, zeros, rate0,
-    )
+    s_new, trs, logdet_s, rate, pois, _, n_guarded = swap_pairs(stage1._update_s_guarded(
+        sigma, obs, *swap_pairs((m, s, zeros, 2.0 * floor, zeros, rate0)),
+    ))
     assert n_guarded == (4 if every_rejected else 3)
     # the carried diag S is the kernel's diag of the returned S, bit for
     # bit, at the full step, at the halvings and at the reverted pair
@@ -506,7 +512,7 @@ def _check_m_step_halving(every_rejected):
     s_dense = dense_s(s)
     idx = np.arange(d)
     obs = (y, logc, np.log1p(y) - logc[:, None])
-    rate0 = stage1._poisson_batch(obs, m, s_dense[..., idx, idx])[0]
+    rate0 = swap_pairs(stage1._poisson_batch(obs, *swap_pairs((m, s_dense[..., idx, idx])))[0])
     zeros = np.zeros((n, g))
 
     def terms(i, j, c):
@@ -535,16 +541,17 @@ def _check_m_step_halving(every_rejected):
     if every_rejected:  # nor for any other pair
         floor = phis.max(axis=-1) + 1.0
     # phi_old = Poisson term - quad/2, so these caches make it the floor
-    s_before = tuple(a.copy() for a in s)
-    m_new, rate, pois, quad, _, n_guarded = stage1._update_m_guarded(
-        obs, sigma, mu, m, s, rate0, floor, zeros,
-    )
+    s_loop = swap_pairs(s)
+    s_before = tuple(a.copy() for a in s_loop)
+    m_new, rate, pois, quad, _, n_guarded = swap_pairs(stage1._update_m_guarded(
+        obs, sigma, mu, swap_pairs(m), s_loop, *swap_pairs((rate0, floor, zeros)),
+    ))
     assert n_guarded == (4 if every_rejected else 3)
     # the m step leaves S and its carried diag as they were, the kernel's
     # diag of S bit for bit
-    for after, before in zip(s, s_before):
+    for after, before in zip(s_loop, s_before):
         np.testing.assert_array_equal(after, before)
-    np.testing.assert_array_equal(s[2], stage1._s_diag(s))
+    np.testing.assert_array_equal(s_loop[2], stage1._s_diag(s_loop))
     for i in range(n):
         for j in range(g):
             passed = np.nonzero(phis[i, j] >= floor[i, j])[0]
@@ -575,12 +582,12 @@ def test_s_step_counts_only_the_clamps_at_its_new_s():
     obs = (y, logc, np.log1p(y) - logc[:, None])
     m = np.full((n, g, d), 9.0)
     s = loop_s(np.full((n, g, d), 4.0), np.zeros((n, g, d, k)))
-    assert stage1._poisson_batch(obs, m, s[0])[2] == n * g * d
-    rate0 = stage1._poisson_batch(obs, m, s[0])[0]
+    assert stage1._poisson_batch(obs, *swap_pairs((m, s[0])))[2] == n * g * d
+    rate0 = swap_pairs(stage1._poisson_batch(obs, *swap_pairs((m, s[0])))[0])
     zeros = np.zeros((n, g))
-    s_new, *_, clamps, n_guarded = stage1._update_s_guarded(
-        sigma, obs, m, s, zeros, np.full((n, g), -np.inf), zeros, rate0,
-    )
+    s_new, *_, clamps, n_guarded = swap_pairs(stage1._update_s_guarded(
+        sigma, obs, *swap_pairs((m, s, zeros, np.full((n, g), -np.inf), zeros, rate0)),
+    ))
     assert n_guarded == 0
     arg = logc[:, None, None] + m + 0.5 * np.diagonal(dense_s(s_new), axis1=-2, axis2=-1)
     assert np.all(np.abs(arg) < stage1.EXP_CLAMP)
@@ -617,10 +624,10 @@ def test_factor_form_s_step_matches_dense_inverse(seed, k):
     s = loop_s(np.full((n, g, d), 0.1), np.zeros((n, g, d, k)))
     # previous bound terms of -inf, so the ascent guard keeps every entry
     worst = np.full((n, g), -np.inf)
-    s_new, _, logdet_s, _, _, _, n_guarded = stage1._update_s_guarded(
-        sigma, obs, m, s, np.zeros((n, g)), worst, np.zeros((n, g)),
-        stage1._poisson_batch(obs, m, s[0])[0],
-    )
+    s_new, _, logdet_s, _, _, _, n_guarded = swap_pairs(stage1._update_s_guarded(
+        sigma, obs, *swap_pairs((m, s, np.zeros((n, g)), worst, np.zeros((n, g)))),
+        stage1._poisson_batch(obs, *swap_pairs((m, s[0])))[0],
+    ))
     assert n_guarded == 0
     rate = np.exp(m + 0.05)
     for i in range(n):
@@ -650,7 +657,8 @@ def test_factor_form_regression_matches_dense_solve(seed, k):
     sigma = em._sigma_from(lam, psi)
     beta = sigma[2]
     # sigma^-1 x = psi^-1 (x - lam beta x), applied to the identity
-    sig_inv = stage1._sig_inv_apply(np.repeat(np.eye(d)[:, None], g, axis=1), sigma)
+    sig_inv = swap_pairs(stage1._sig_inv_apply(swap_pairs(np.repeat(np.eye(d)[:, None], g, axis=1)),
+                                               sigma))
     for j in range(g):
         assert _rel_err(beta[j], np.linalg.solve(sig[j], lam[j]).T) < 1e-10
         assert sigma[3][j] == pytest.approx(np.linalg.slogdet(sig[j])[1], rel=1e-10)
@@ -675,16 +683,19 @@ def test_factor_form_kernels_match_dense_solves(seed, k):
     mu = rng.normal(1.0, 1.0, (g, d))
     x = rng.normal(0.0, 1.0, (n, g, d))
     rho = np.exp(rng.uniform(-4.0, 8.0, (n, g, d)))
-    trs = stage1._trace_batch(sigma, s)
-    quad = stage1._quad_batch(m, mu, sigma)
-    sig_inv_x = stage1._sig_inv_apply(x, sigma)
-    s_x = stage1._s_apply(s, x)
-    s_diag = stage1._s_diag(s)
-    s_rho, logdet_rho = stage1._s_of(rho, sigma)
-    tr_rho = stage1._s_trace(rho, s_rho[2])
+    s_c, m_c, x_c, rho_c = swap_pairs((s, m, x, rho))
+    trs = stage1._trace_batch(sigma, s_c)
+    quad = stage1._quad_batch(m_c, mu, sigma)
+    sig_inv_x = stage1._sig_inv_apply(x_c, sigma)
+    s_x = stage1._s_apply(s_c, x_c)
+    s_diag = stage1._s_diag(s_c)
+    s_rho, logdet_rho = stage1._s_of(rho_c, sigma)
+    tr_rho = stage1._s_trace(rho_c, s_rho[2])
     eta = 0.25
-    s_eta = stage1._s_of(rho / eta, sigma)[0]
-    tr_eta = stage1._s_trace(rho / eta, s_eta[2])
+    s_eta = stage1._s_of(rho_c / eta, sigma)[0]
+    tr_eta = stage1._s_trace(rho_c / eta, s_eta[2])
+    trs, quad, sig_inv_x, s_x, s_diag, s_rho, logdet_rho, tr_rho, s_eta, tr_eta = swap_pairs(
+        (trs, quad, sig_inv_x, s_x, s_diag, s_rho, logdet_rho, tr_rho, s_eta, tr_eta))
     for i in range(n):
         for j in range(g):
             v = m[i, j] - mu[j]
